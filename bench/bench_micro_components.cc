@@ -4,6 +4,9 @@
 // and the tiled native kernels.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+#include <string>
+
 #include "codegen/jit_program.h"
 #include "configspace/divisors.h"
 #include "kernels/native.h"
@@ -39,8 +42,47 @@ surrogate::Dataset make_dataset(std::size_t n) {
   return data;
 }
 
+/// Six tile knobs, the shape of 3mm's space: 12 encoded features.
+const cs::ConfigurationSpace& tile_space() {
+  static const cs::ConfigurationSpace space = [] {
+    cs::ConfigurationSpace s;
+    const std::int64_t extents[] = {1800, 2000, 2200, 2400, 1600, 1200};
+    for (int i = 0; i < 6; ++i) {
+      s.add(cs::tile_factor_param("P" + std::to_string(i), extents[i]));
+    }
+    return s;
+  }();
+  return space;
+}
+
+double tile_runtime(const cs::Configuration& config) {
+  double cost = 1.0;
+  for (std::size_t i = 0; i < 6; ++i) {
+    const double d = static_cast<double>(config.index(i)) - 8.0;
+    cost += 0.002 * d * d * static_cast<double>(i + 1);
+  }
+  return cost * 1e-3;
+}
+
+/// n encoded tile configurations with log-runtime targets: what ytopt's
+/// forest is refit on after n observations.
+surrogate::Dataset make_tile_dataset(std::size_t n) {
+  const cs::ConfigurationSpace& space = tile_space();
+  const surrogate::FeatureEncoder encoder(&space);
+  Rng rng(1);
+  surrogate::Dataset data;
+  for (std::size_t i = 0; i < n; ++i) {
+    const cs::Configuration config = space.sample(rng);
+    data.add(encoder.encode(config), std::log(tile_runtime(config)));
+  }
+  return data;
+}
+
 void BM_RandomForestFit(benchmark::State& state) {
-  const auto data = make_dataset(static_cast<std::size_t>(state.range(0)));
+  // The per-tell refit of ytopt's surrogate (100 trees, bootstrap,
+  // ceil(12/3) features per split).
+  const auto data =
+      make_tile_dataset(static_cast<std::size_t>(state.range(0)));
   surrogate::ForestOptions options;
   options.num_trees = 100;
   for (auto _ : state) {
@@ -50,7 +92,13 @@ void BM_RandomForestFit(benchmark::State& state) {
     benchmark::DoNotOptimize(forest);
   }
 }
-BENCHMARK(BM_RandomForestFit)->Arg(20)->Arg(50)->Arg(100);
+BENCHMARK(BM_RandomForestFit)
+    ->Arg(20)
+    ->Arg(50)
+    ->Arg(100)
+    ->Arg(200)
+    ->Arg(500)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_RandomForestPredict(benchmark::State& state) {
   const auto data = make_dataset(100);
@@ -76,22 +124,24 @@ void BM_GbtFit(benchmark::State& state) {
 BENCHMARK(BM_GbtFit)->Arg(50)->Arg(100);
 
 void BM_BoAskTell(benchmark::State& state) {
-  // Full per-iteration BO cost at a 60-observation history.
-  const auto space = lu_space();
+  // Full per-iteration BO cost (refit + 512-candidate LCB scoring + tell)
+  // at a history of exactly range(0) observations: every iteration asks
+  // from a copy of the same warmed-up optimizer.
+  const auto observations = static_cast<int>(state.range(0));
+  ytopt::BayesianOptimizer warmed(&tile_space(), 3);
+  for (int i = 0; i < observations; ++i) {
+    const auto config = warmed.ask();
+    warmed.tell(config, tile_runtime(config));
+  }
   for (auto _ : state) {
     state.PauseTiming();
-    ytopt::BayesianOptimizer bo(&space, 3);
-    Rng rng(4);
-    for (int i = 0; i < 60; ++i) {
-      const auto config = bo.ask();
-      bo.tell(config, 1.0 + rng.uniform());
-    }
+    ytopt::BayesianOptimizer bo = warmed;
     state.ResumeTiming();
     const auto config = bo.ask();
-    bo.tell(config, 1.5);
+    bo.tell(config, 1.5e-3);
   }
 }
-BENCHMARK(BM_BoAskTell);
+BENCHMARK(BM_BoAskTell)->Arg(60)->Arg(500)->Unit(benchmark::kMillisecond);
 
 void BM_ConfigSpaceSample(benchmark::State& state) {
   const auto space = lu_space();

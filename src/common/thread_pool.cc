@@ -1,6 +1,9 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
+#include <memory>
 
 namespace tvmbo {
 
@@ -52,6 +55,23 @@ void ThreadPool::parallel_for(std::size_t count,
   });
 }
 
+namespace {
+
+// State of one parallel_for_chunks call, shared by the calling thread and
+// the chunk tasks it queues. Chunks are claimed from `next`; a task that
+// starts after every chunk is claimed returns without touching the body,
+// so the caller may return while such a task still sits in the queue.
+struct ChunkRun {
+  std::atomic<std::size_t> next{1};  // chunk 0 is the caller's
+  std::mutex mutex;
+  std::condition_variable finished;
+  std::size_t done = 0;
+  std::size_t failed_chunk = 0;
+  std::exception_ptr error;
+};
+
+}  // namespace
+
 void ThreadPool::parallel_for_chunks(
     std::size_t count, std::size_t max_chunks,
     const std::function<void(std::size_t, std::size_t)>& fn) {
@@ -66,15 +86,36 @@ void ThreadPool::parallel_for_chunks(
   }
   const std::size_t base = count / chunks;
   const std::size_t extra = count % chunks;
-  std::vector<std::future<void>> futures;
-  futures.reserve(chunks);
-  std::size_t begin = 0;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t end = begin + base + (c < extra ? 1 : 0);
-    futures.push_back(submit([&fn, begin, end] { fn(begin, end); }));
-    begin = end;
+  auto run = std::make_shared<ChunkRun>();
+  // Runs chunk `c`, then claims further chunks until none are left.
+  auto work = [run, chunks, base, extra, body = &fn](std::size_t c) {
+    for (; c < chunks; c = run->next.fetch_add(1)) {
+      const std::size_t begin = c * base + std::min(c, extra);
+      const std::size_t end = begin + base + (c < extra ? 1 : 0);
+      std::exception_ptr error;
+      try {
+        (*body)(begin, end);
+      } catch (...) {
+        error = std::current_exception();
+      }
+      std::lock_guard<std::mutex> lock(run->mutex);
+      if (error && (!run->error || c < run->failed_chunk)) {
+        run->error = error;
+        run->failed_chunk = c;
+      }
+      if (++run->done == chunks) run->finished.notify_all();
+    }
+  };
+  for (std::size_t c = 1; c < chunks; ++c) {
+    submit([work, run] { work(run->next.fetch_add(1)); });
   }
-  for (auto& future : futures) future.get();
+  // The calling thread works too: it takes chunk 0 and then any chunk no
+  // worker has claimed yet, so the call completes even while every worker
+  // is held by other tasks (streamed measurements waiting on round trips).
+  work(0);
+  std::unique_lock<std::mutex> lock(run->mutex);
+  run->finished.wait(lock, [&] { return run->done == chunks; });
+  if (run->error) std::rethrow_exception(run->error);
 }
 
 ThreadPool& default_thread_pool() {

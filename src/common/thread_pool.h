@@ -1,6 +1,7 @@
 // Fixed-size worker pool used for batched measurement (AutoTVM measures a
 // batch of candidate configs per round; on multi-core hosts the CpuDevice
-// compiles/validates them concurrently) and for Random-Forest training.
+// compiles/validates them concurrently), for Random-Forest training and
+// LCB scoring, and for the closure tier's parallel loops.
 //
 // The design follows the Core Guidelines concurrency advice: the pool owns
 // its threads (RAII join in the destructor), tasks communicate results via
@@ -51,19 +52,20 @@ class ThreadPool {
 
   /// Runs fn(i) for i in [0, count) across the pool and blocks until all
   /// complete. Work is split into at most num_threads() contiguous chunks
-  /// (one task each, not one per item). Exceptions from tasks are
-  /// rethrown (first chunk wins). Calls from inside a worker thread run
-  /// inline — dispatching would deadlock once every worker blocks in
-  /// get() on tasks still sitting in the queue.
+  /// (one task each, not one per item). See parallel_for_chunks.
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t)>& fn);
 
   /// Range-chunked variant: splits [0, count) into at most `max_chunks`
   /// contiguous chunks (additionally capped by num_threads()) and runs
   /// fn(begin, end) per chunk, blocking until all complete. `max_chunks`
-  /// of 0 means num_threads(). Degenerate cases (count <= 1, one chunk,
-  /// or a call from inside a worker thread) run fn(0, count) inline.
-  /// Exceptions from chunk tasks are rethrown (first chunk wins).
+  /// of 0 means num_threads(). The calling thread runs chunk 0 itself and
+  /// then any chunk no worker has claimed yet, so the call finishes even
+  /// when every worker is busy with other tasks. Degenerate cases
+  /// (count <= 1, one chunk, or a call from inside a worker thread) run
+  /// fn(0, count) inline — a worker that dispatched and waited could
+  /// deadlock the pool. Exceptions are rethrown once every chunk has
+  /// finished (lowest-numbered failing chunk wins).
   void parallel_for_chunks(
       std::size_t count, std::size_t max_chunks,
       const std::function<void(std::size_t, std::size_t)>& fn);

@@ -15,6 +15,16 @@ void Dataset::add(std::vector<double> features, double target) {
   y.push_back(target);
 }
 
+FeatureColumns::FeatureColumns(const Dataset& data)
+    : rows(data.size()), features(data.num_features()),
+      values(rows * features) {
+  for (std::size_t row = 0; row < rows; ++row) {
+    for (std::size_t f = 0; f < features; ++f) {
+      values[f * rows + row] = data.x[row][f];
+    }
+  }
+}
+
 FeatureEncoder::FeatureEncoder(const cs::ConfigurationSpace* space)
     : space_(space) {
   TVMBO_CHECK(space_ != nullptr) << "encoder requires a space";

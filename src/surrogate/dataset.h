@@ -21,6 +21,21 @@ struct Dataset {
   void add(std::vector<double> features, double target);
 };
 
+/// Column-major copy of a dataset's features, `values[f * rows + row]`:
+/// the layout the trees' split scan reads. A forest builds it once per fit
+/// and shares it, read-only, across all of its trees.
+struct FeatureColumns {
+  explicit FeatureColumns(const Dataset& data);
+
+  std::size_t rows = 0;
+  std::size_t features = 0;
+  std::vector<double> values;
+
+  const double* column(std::size_t feature) const {
+    return values.data() + feature * rows;
+  }
+};
+
 /// Encodes a configuration as surrogate features. Each parameter
 /// contributes two features: its normalized position in the domain
 /// (ordinal locality) and log2(1 + |value|) (magnitude, which is what

@@ -15,34 +15,63 @@ DecisionTree::DecisionTree(TreeOptions options) : options_(options) {
       << "min_samples_leaf must be >= 1";
 }
 
+/// Per-fit state of the recursive build. The scratch vectors are sized
+/// once per fit and reused by every node: a node finishes its split scan
+/// before it recurses, so one buffer of each serves the whole tree.
+struct DecisionTree::SplitScan {
+  /// One row of the node being scanned and its key under the current
+  /// feature. Targets stay in `y`: keeping entries at 16 bytes makes the
+  /// sort's moves cheaper than carrying the target along.
+  struct Entry {
+    double key;
+    std::size_t row;
+  };
+
+  const FeatureColumns& x;
+  std::span<const double> y;
+  Rng* rng;
+  std::vector<std::size_t> rows;  ///< partitioned in place per split
+  std::vector<std::size_t> features;
+  std::vector<Entry> sorted;
+};
+
 void DecisionTree::fit(const Dataset& data,
                        std::span<const std::size_t> rows, Rng* rng) {
   TVMBO_CHECK(!data.x.empty()) << "fit on empty dataset";
-  TVMBO_CHECK_EQ(data.x.size(), data.y.size()) << "dataset size mismatch";
+  fit(FeatureColumns(data), data.y, rows, rng);
+}
+
+void DecisionTree::fit(const FeatureColumns& x, std::span<const double> y,
+                       std::span<const std::size_t> rows, Rng* rng) {
+  TVMBO_CHECK_GT(x.rows, 0u) << "fit on empty dataset";
+  TVMBO_CHECK_EQ(x.rows, y.size()) << "dataset size mismatch";
   nodes_.clear();
-  std::vector<std::size_t> working;
+  num_features_ = x.features;
+  SplitScan scan{x, y, rng, {}, {}, {}};
   if (rows.empty()) {
-    working.resize(data.size());
-    std::iota(working.begin(), working.end(), std::size_t{0});
+    scan.rows.resize(x.rows);
+    std::iota(scan.rows.begin(), scan.rows.end(), std::size_t{0});
   } else {
-    working.assign(rows.begin(), rows.end());
+    scan.rows.assign(rows.begin(), rows.end());
   }
   if (options_.max_features > 0) {
     TVMBO_CHECK(rng != nullptr)
         << "random feature subsetting requires an Rng";
   }
-  build(data, working, 0, working.size(), 0, rng);
+  scan.features.reserve(x.features);
+  scan.sorted.resize(scan.rows.size());
+  build(scan, 0, scan.rows.size(), 0);
 }
 
-int DecisionTree::build(const Dataset& data,
-                        std::vector<std::size_t>& rows, std::size_t begin,
-                        std::size_t end, int depth, Rng* rng) {
+int DecisionTree::build(SplitScan& scan, std::size_t begin, std::size_t end,
+                        int depth) {
   TVMBO_CHECK_LT(begin, end) << "empty node range";
   const std::size_t count = end - begin;
+  std::vector<std::size_t>& rows = scan.rows;
 
   double sum = 0.0, sum_sq = 0.0;
   for (std::size_t i = begin; i < end; ++i) {
-    const double y = data.y[rows[i]];
+    const double y = scan.y[rows[i]];
     sum += y;
     sum_sq += y * y;
   }
@@ -64,33 +93,41 @@ int DecisionTree::build(const Dataset& data,
   }
 
   // Candidate features: all, or a random subset.
-  const std::size_t num_features = data.num_features();
-  std::vector<std::size_t> features(num_features);
+  const std::size_t num_features = scan.x.features;
+  std::vector<std::size_t>& features = scan.features;
+  features.resize(num_features);
   std::iota(features.begin(), features.end(), std::size_t{0});
   if (options_.max_features > 0 &&
       static_cast<std::size_t>(options_.max_features) < num_features) {
-    rng->shuffle(features);
+    scan.rng->shuffle(features);
     features.resize(static_cast<std::size_t>(options_.max_features));
   }
 
   // Exact best split: for each candidate feature, sort this node's rows by
-  // the feature and scan split points between distinct values.
+  // the feature and scan split points between distinct values. Each sort
+  // starts from the order the previous feature's sort left, and compares
+  // keys only, so its permutation (and with it the order in which
+  // left_sum accumulates within runs of equal keys) is the one a sort of
+  // bare row indices by the same keys would produce.
   double best_gain = options_.min_variance_decrease;
   int best_feature = -1;
   double best_threshold = 0.0;
 
-  std::vector<std::size_t> sorted(rows.begin() + begin, rows.begin() + end);
+  const std::span<SplitScan::Entry> sorted(scan.sorted.data(), count);
+  for (std::size_t i = 0; i < count; ++i) sorted[i].row = rows[begin + i];
   const double total_sum = sum;
   for (std::size_t feature : features) {
+    const double* column = scan.x.column(feature);
+    for (SplitScan::Entry& entry : sorted) entry.key = column[entry.row];
     std::sort(sorted.begin(), sorted.end(),
-              [&](std::size_t a, std::size_t b) {
-                return data.x[a][feature] < data.x[b][feature];
+              [](const SplitScan::Entry& a, const SplitScan::Entry& b) {
+                return a.key < b.key;
               });
     double left_sum = 0.0;
     for (std::size_t i = 0; i + 1 < count; ++i) {
-      left_sum += data.y[sorted[i]];
-      const double v = data.x[sorted[i]][feature];
-      const double v_next = data.x[sorted[i + 1]][feature];
+      left_sum += scan.y[sorted[i].row];
+      const double v = sorted[i].key;
+      const double v_next = sorted[i + 1].key;
       if (v == v_next) continue;
       const std::size_t left_n = i + 1;
       const std::size_t right_n = count - left_n;
@@ -120,13 +157,12 @@ int DecisionTree::build(const Dataset& data,
   if (best_feature < 0) return make_leaf();
 
   // Partition rows in place around the chosen split.
+  const double* split_column =
+      scan.x.column(static_cast<std::size_t>(best_feature));
   const auto middle = std::partition(
       rows.begin() + static_cast<std::ptrdiff_t>(begin),
       rows.begin() + static_cast<std::ptrdiff_t>(end),
-      [&](std::size_t row) {
-        return data.x[row][static_cast<std::size_t>(best_feature)] <=
-               best_threshold;
-      });
+      [&](std::size_t row) { return split_column[row] <= best_threshold; });
   const std::size_t split =
       static_cast<std::size_t>(middle - rows.begin());
   TVMBO_CHECK(split > begin && split < end)
@@ -138,8 +174,8 @@ int DecisionTree::build(const Dataset& data,
   nodes_[static_cast<std::size_t>(node_index)].threshold = best_threshold;
   nodes_[static_cast<std::size_t>(node_index)].value = node_mean;
 
-  const int left = build(data, rows, begin, split, depth + 1, rng);
-  const int right = build(data, rows, split, end, depth + 1, rng);
+  const int left = build(scan, begin, split, depth + 1);
+  const int right = build(scan, split, end, depth + 1);
   nodes_[static_cast<std::size_t>(node_index)].left = left;
   nodes_[static_cast<std::size_t>(node_index)].right = right;
   return node_index;
@@ -147,10 +183,12 @@ int DecisionTree::build(const Dataset& data,
 
 double DecisionTree::predict(std::span<const double> features) const {
   TVMBO_CHECK(fitted()) << "predict before fit";
+  // Every split feature is below the fitted feature count, so one check
+  // here covers every node the walk visits.
+  TVMBO_CHECK_GE(features.size(), num_features_)
+      << "feature arity mismatch in predict";
   const Node* node = &nodes_[0];
   while (!node->is_leaf()) {
-    TVMBO_CHECK_LT(static_cast<std::size_t>(node->feature), features.size())
-        << "feature arity mismatch in predict";
     node = features[static_cast<std::size_t>(node->feature)] <=
                    node->threshold
                ? &nodes_[static_cast<std::size_t>(node->left)]

@@ -33,6 +33,11 @@ class DecisionTree {
   /// required when options.max_features > 0.
   void fit(const Dataset& data, std::span<const std::size_t> rows = {},
            Rng* rng = nullptr);
+  /// Same fit on a prebuilt column-major copy of the features, with
+  /// targets `y` (one per row). Lets a forest or a boosting loop share one
+  /// copy across all of its trees.
+  void fit(const FeatureColumns& x, std::span<const double> y,
+           std::span<const std::size_t> rows = {}, Rng* rng = nullptr);
 
   double predict(std::span<const double> features) const;
 
@@ -51,12 +56,14 @@ class DecisionTree {
     bool is_leaf() const { return feature < 0; }
   };
 
-  int build(const Dataset& data, std::vector<std::size_t>& rows,
-            std::size_t begin, std::size_t end, int depth, Rng* rng);
+  struct SplitScan;
+
+  int build(SplitScan& scan, std::size_t begin, std::size_t end, int depth);
   std::size_t depth_below(int node) const;
 
   TreeOptions options_;
   std::vector<Node> nodes_;
+  std::size_t num_features_ = 0;  ///< feature count seen by fit
 };
 
 }  // namespace tvmbo::surrogate

@@ -25,11 +25,12 @@ void GradientBoostedTrees::fit(const Dataset& data, Rng& rng) {
       std::accumulate(data.y.begin(), data.y.end(), 0.0) /
       static_cast<double>(n);
 
-  // Current model output per training row.
+  // Current model output per training row. Every round's tree fits the
+  // same features against new residuals, so the column-major copy is
+  // built once.
   std::vector<double> prediction(n, base_score_);
-  Dataset residuals;
-  residuals.x = data.x;
-  residuals.y.resize(n);
+  const FeatureColumns columns(data);
+  std::vector<double> residuals(n);
 
   const std::size_t sample_size = std::max<std::size_t>(
       1, static_cast<std::size_t>(std::llround(
@@ -38,7 +39,7 @@ void GradientBoostedTrees::fit(const Dataset& data, Rng& rng) {
   double previous_rmse = std::numeric_limits<double>::infinity();
   for (int round = 0; round < options_.num_rounds; ++round) {
     for (std::size_t i = 0; i < n; ++i) {
-      residuals.y[i] = data.y[i] - prediction[i];
+      residuals[i] = data.y[i] - prediction[i];
     }
     Rng round_rng = rng.split();
     std::vector<std::size_t> rows;
@@ -46,7 +47,7 @@ void GradientBoostedTrees::fit(const Dataset& data, Rng& rng) {
       rows = round_rng.sample_without_replacement(n, sample_size);
     }
     DecisionTree tree(options_.tree);
-    tree.fit(residuals, rows, &round_rng);
+    tree.fit(columns, residuals, rows, &round_rng);
 
     double sq_error = 0.0;
     for (std::size_t i = 0; i < n; ++i) {

@@ -17,7 +17,6 @@ RandomForest::RandomForest(ForestOptions options) : options_(options) {
 void RandomForest::fit(const Dataset& data, Rng& rng) {
   TVMBO_CHECK(!data.x.empty()) << "fit on empty dataset";
   trees_.clear();
-  trees_.reserve(static_cast<std::size_t>(options_.num_trees));
 
   TreeOptions tree_options = options_.tree;
   if (options_.max_features == 0) {
@@ -34,14 +33,17 @@ void RandomForest::fit(const Dataset& data, Rng& rng) {
                           static_cast<double>(n))));
 
   // Derive every tree's independent RNG stream up front so the fit is
-  // deterministic whether trees are built serially or on the pool.
+  // deterministic however the pool schedules the trees.
   const auto num_trees = static_cast<std::size_t>(options_.num_trees);
   std::vector<Rng> streams;
   streams.reserve(num_trees);
   for (std::size_t t = 0; t < num_trees; ++t) streams.push_back(rng.split());
 
-  trees_.assign(num_trees, DecisionTree(tree_options));
-  auto fit_one = [&](std::size_t t) {
+  // Trees are fit into a local vector so that a throwing fit leaves the
+  // forest unfitted rather than partly fitted.
+  const FeatureColumns columns(data);
+  std::vector<DecisionTree> trees(num_trees, DecisionTree(tree_options));
+  default_thread_pool().parallel_for(num_trees, [&](std::size_t t) {
     Rng& tree_rng = streams[t];
     std::vector<std::size_t> rows;
     if (options_.bootstrap) {
@@ -51,13 +53,9 @@ void RandomForest::fit(const Dataset& data, Rng& rng) {
             tree_rng.uniform_int(static_cast<std::int64_t>(n)));
       }
     }
-    trees_[t].fit(data, rows, &tree_rng);
-  };
-  if (options_.parallel_fit) {
-    default_thread_pool().parallel_for(num_trees, fit_one);
-  } else {
-    for (std::size_t t = 0; t < num_trees; ++t) fit_one(t);
-  }
+    trees[t].fit(columns, data.y, rows, &tree_rng);
+  });
+  trees_ = std::move(trees);
 }
 
 double RandomForest::predict(std::span<const double> features) const {

@@ -14,10 +14,6 @@ namespace tvmbo::surrogate {
 
 struct ForestOptions {
   int num_trees = 100;
-  /// Fit trees on the shared thread pool. Deterministic regardless: every
-  /// tree's RNG stream is derived up front, so parallel and serial fits
-  /// produce identical forests.
-  bool parallel_fit = false;
   /// Bootstrap sample fraction per tree (with replacement).
   double bootstrap_fraction = 1.0;
   bool bootstrap = true;
@@ -37,6 +33,9 @@ class RandomForest {
  public:
   explicit RandomForest(ForestOptions options = {});
 
+  /// Trees are fit on the shared thread pool (inline when called from one
+  /// of its workers). Every tree's RNG stream is derived up front, so the
+  /// forest is bit-identical for any thread count.
   void fit(const Dataset& data, Rng& rng);
 
   bool fitted() const { return !trees_.empty(); }

@@ -5,6 +5,7 @@
 #include <cstdint>
 
 #include "common/logging.h"
+#include "common/thread_pool.h"
 
 namespace tvmbo::ytopt {
 
@@ -53,20 +54,26 @@ void BayesianOptimizer::refit() {
   // magnitude off for microsecond-scale kernels and warps the log-space
   // forest around the imputed points.
   const double penalty = worst * 2.0;
-  surrogate::Dataset data;
+  // History rows are encoded once, as trials arrive; the targets are
+  // rebuilt every refit because the penalty follows `worst`.
+  data_.x.resize(encoded_);  // drop the previous refit's liar rows
+  for (; encoded_ < history_.size(); ++encoded_) {
+    data_.x.push_back(encoder_.encode(history_[encoded_].config));
+  }
+  data_.y.clear();
   for (const tuners::Trial& trial : history_) {
     const double runtime =
         trial.valid && trial.runtime_s > 0.0 ? trial.runtime_s : penalty;
-    data.add(encoder_.encode(trial.config), std::log(runtime));
+    data_.y.push_back(std::log(runtime));
   }
   // Constant-liar (cl-max): hallucinate in-flight configurations at the
   // worst valid runtime, so a streaming ask() avoids the neighborhoods
   // of trials still being measured without blocking on their results.
   for (const cs::Configuration& config : pending_) {
-    data.add(encoder_.encode(config), std::log(worst));
+    data_.add(encoder_.encode(config), std::log(worst));
   }
-  if (data.size() < 2) return;
-  forest_.fit(data, rng_);
+  if (data_.size() < 2) return;
+  forest_.fit(data_, rng_);
   fitted_on_ = history_.size();
 }
 
@@ -216,13 +223,14 @@ std::vector<cs::Configuration> BayesianOptimizer::propose(std::size_t n) {
 
   // qLCB: rank the whole pool by the acquisition and take the n best
   // distinct candidates (multi-point generalization of the single pick).
-  std::vector<std::pair<double, std::size_t>> scored;
-  scored.reserve(candidates.size());
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
+  // Scoring is read-only on the forest and writes one slot per
+  // candidate, so it fans out on the pool without changing the ranking.
+  std::vector<std::pair<double, std::size_t>> scored(candidates.size());
+  default_thread_pool().parallel_for(candidates.size(), [&](std::size_t i) {
     const surrogate::Prediction pred =
         forest_.predict_with_std(encoder_.encode(candidates[i]));
-    scored.emplace_back(pred.mean - options_.kappa * pred.std, i);
-  }
+    scored[i] = {pred.mean - options_.kappa * pred.std, i};
+  });
   std::sort(scored.begin(), scored.end());
   for (const auto& [lcb, index] : scored) {
     if (batch.size() >= n) break;

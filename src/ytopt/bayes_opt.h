@@ -104,6 +104,10 @@ class BayesianOptimizer final : public tuners::Tuner {
   BoOptions options_;
   surrogate::FeatureEncoder encoder_;
   surrogate::RandomForest forest_;
+  /// Training rows: history_ encoded in order (append-only), followed by
+  /// the last refit's constant-liar rows.
+  surrogate::Dataset data_;
+  std::size_t encoded_ = 0;  ///< history_ trials encoded into data_.x
   std::size_t fitted_on_ = 0;
   /// Insertion-ordered (a set keyed by Configuration::hash would make
   /// refit's liar rows — and thus the forest's bootstrap draws —

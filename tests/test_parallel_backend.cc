@@ -411,11 +411,14 @@ TEST(ParallelDeterminism, FixedSeedSessionsReplayIdentically) {
   autotvm::Task task;
   task.name = "gemm_parallel_determinism";
   task.workload = workload;
+  // A tile knob next to the thread budget gives the space more points
+  // than the session's evaluation budget, so every session can complete.
+  task.config.define_knob("tile_y", {2, 4, 5});
   task.config.define_knob("threads", {1, nproc()});
   task.instantiate = [data,
                       workload](const std::vector<std::int64_t>& knobs) {
-    // Fixed tiles, parallel axis yo; only the thread budget is tuned.
-    const std::vector<std::int64_t> extended = {4, 5, 1, knobs[0]};
+    // Fixed tile_x, parallel axis yo; tile_y and threads are tuned.
+    const std::vector<std::int64_t> extended = {knobs[0], 5, 1, knobs[1]};
     return kernels::make_te_measure_input(data, workload, extended,
                                           ExecBackend::kClosure);
   };

@@ -12,6 +12,7 @@
 #include "common/csv.h"
 #include "common/json.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "configspace/divisors.h"
 #include "framework/session.h"
 #include "kernels/polybench.h"
@@ -440,15 +441,15 @@ TEST(PropertyFuzz, ParallelForestFitIsBitIdenticalToSerial) {
     const double x0 = data_rng.uniform(), x1 = data_rng.uniform();
     data.add({x0, x1}, x0 * x0 + 0.3 * x1 + data_rng.normal(0.0, 0.01));
   }
-  surrogate::ForestOptions serial_options;
-  serial_options.num_trees = 24;
-  surrogate::ForestOptions parallel_options = serial_options;
-  parallel_options.parallel_fit = true;
+  surrogate::ForestOptions options;
+  options.num_trees = 24;
 
-  surrogate::RandomForest serial(serial_options);
-  surrogate::RandomForest parallel(parallel_options);
+  // Forest fits fan out on the default pool, except inside one of its
+  // workers, where they run inline: a fit in a pool task is the serial fit.
+  surrogate::RandomForest serial(options);
+  surrogate::RandomForest parallel(options);
   Rng ra(7), rb(7);
-  serial.fit(data, ra);
+  default_thread_pool().submit([&] { serial.fit(data, ra); }).get();
   parallel.fit(data, rb);
 
   Rng probe(8);

@@ -82,6 +82,19 @@ TEST(DecisionTree, PredictBeforeFitThrows) {
   EXPECT_THROW(tree.predict(std::vector<double>{1.0}), CheckError);
 }
 
+TEST(DecisionTree, PredictChecksArityOncePerCall) {
+  // Fitted on two features: a one-feature query is rejected up front,
+  // even when the root split happens to read feature 0 only.
+  Dataset data;
+  for (int i = 0; i < 8; ++i) {
+    data.add({static_cast<double>(i), 0.0}, i < 4 ? 1.0 : 5.0);
+  }
+  DecisionTree tree;
+  tree.fit(data);
+  EXPECT_DOUBLE_EQ(tree.predict(std::vector<double>{6.0, 0.0}), 5.0);
+  EXPECT_THROW(tree.predict(std::vector<double>{6.0}), CheckError);
+}
+
 TEST(DecisionTree, RandomFeatureSubsettingRequiresRng) {
   Dataset data;
   data.add({1.0}, 1.0);

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace tvmbo {
@@ -175,6 +178,93 @@ TEST(ThreadPool, ParallelForChunksPropagatesExceptions) {
                                  }
                                }),
       std::runtime_error);
+}
+
+TEST(ThreadPool, ParallelForChunksCallerRunsChunkZero) {
+  // The calling thread joins the fan-out: chunk 0 runs on it, and every
+  // index is still covered exactly once.
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::atomic<int>> hits(1001);
+  std::atomic<bool> chunk_zero_on_caller{false};
+  pool.parallel_for_chunks(hits.size(), 0,
+                           [&](std::size_t begin, std::size_t end) {
+                             if (begin == 0) {
+                               chunk_zero_on_caller =
+                                   std::this_thread::get_id() == caller;
+                             }
+                             for (std::size_t i = begin; i < end; ++i) {
+                               hits[i].fetch_add(1);
+                             }
+                           });
+  for (const auto& hit : hits) EXPECT_EQ(hit.load(), 1);
+  EXPECT_TRUE(chunk_zero_on_caller.load());
+}
+
+TEST(ThreadPool, ParallelForChunksRethrowsInlineChunkFirst) {
+  // Chunk 0 (the caller's) and a later chunk both throw: the lowest
+  // chunk's exception wins, and it is rethrown only after every other
+  // chunk has finished (their tasks hold references to the caller's body).
+  ThreadPool pool(4);
+  std::atomic<int> finished{0};
+  try {
+    pool.parallel_for_chunks(4, 0, [&](std::size_t begin, std::size_t) {
+      if (begin == 0) throw std::runtime_error("inline boom");
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      finished.fetch_add(1);
+      if (begin == 2) throw std::runtime_error("worker boom");
+    });
+    FAIL() << "expected an exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "inline boom");
+  }
+  EXPECT_EQ(finished.load(), 3);
+}
+
+TEST(ThreadPool, ParallelForChunksNestedInWorkerChunkRunsInline) {
+  // A chunk that a worker runs dispatches inline (one call); the chunk
+  // the caller runs may fan out again, since the caller never blocks a
+  // worker.
+  ThreadPool pool(3);
+  std::mutex m;
+  std::vector<int> worker_inner_calls;
+  std::atomic<int> inner_hits{0};
+  pool.parallel_for_chunks(3, 0, [&](std::size_t, std::size_t) {
+    std::atomic<int> calls{0};
+    pool.parallel_for_chunks(12, 0, [&](std::size_t begin, std::size_t end) {
+      calls.fetch_add(1);
+      inner_hits.fetch_add(static_cast<int>(end - begin));
+    });
+    if (pool.in_worker_thread()) {
+      std::lock_guard<std::mutex> lock(m);
+      worker_inner_calls.push_back(calls.load());
+    }
+  });
+  EXPECT_EQ(inner_hits.load(), 36);
+  for (int calls : worker_inner_calls) EXPECT_EQ(calls, 1);
+}
+
+TEST(ThreadPool, ParallelForChunksProgressesWhileWorkersAreHeld) {
+  // Every worker is held by another task (as streamed measurements hold
+  // them during round trips); the caller still completes the whole range
+  // on its own instead of waiting for a worker to free up.
+  ThreadPool pool(2);
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::vector<std::future<void>> held;
+  for (int i = 0; i < 2; ++i) {
+    held.push_back(pool.submit([released] { released.wait(); }));
+  }
+  std::vector<std::atomic<int>> hits(64);
+  pool.parallel_for_chunks(hits.size(), 0,
+                           [&](std::size_t begin, std::size_t end) {
+                             for (std::size_t i = begin; i < end; ++i) {
+                               hits[i].fetch_add(1);
+                             }
+                           });
+  for (const auto& hit : hits) EXPECT_EQ(hit.load(), 1);
+  release.set_value();
+  for (auto& future : held) future.get();
 }
 
 TEST(ThreadPool, InWorkerThreadDetection) {
