@@ -1,11 +1,14 @@
 // Micro-benchmarks (google-benchmark) for the framework's moving parts:
 // surrogate fit/predict (the per-iteration BO overhead), TE lowering and
-// interpretation, configuration-space operations, the simulated device,
-// and the tiled native kernels.
+// interpretation, a cold JIT compile, configuration-space operations, the
+// simulated device, and the tiled native kernels.
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
 #include <cmath>
+#include <filesystem>
 #include <string>
+#include <vector>
 
 #include "codegen/jit_program.h"
 #include "configspace/divisors.h"
@@ -13,6 +16,7 @@
 #include "kernels/polybench.h"
 #include "kernels/reference.h"
 #include "kernels/te_kernels.h"
+#include "kernels/te_programs.h"
 #include "runtime/swing_sim.h"
 #include "surrogate/gbt.h"
 #include "surrogate/random_forest.h"
@@ -236,6 +240,43 @@ void BM_TeJitMatmul(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n * n * n);
 }
 BENCHMARK(BM_TeJitMatmul)->Arg(16)->Arg(32);
+
+// One cold JIT compile as the cold-cache tuning loop pays it: emit,
+// compile and dlopen one lu-small configuration into an emptied cache
+// directory on every iteration (the emptying is not timed).
+void BM_JitColdCompile(benchmark::State& state) {
+  codegen::JitOptions options;
+  options.cache_dir = (std::filesystem::temp_directory_path() /
+                       ("tvmbo-bench-cold-" + std::to_string(::getpid())))
+                          .string();
+  if (!codegen::JitProgram::toolchain_available(options)) {
+    state.SkipWithError("no C compiler available for the jit backend");
+    return;
+  }
+  const std::vector<std::int64_t> dims =
+      kernels::polybench_dims("lu", kernels::Dataset::kSmall);
+  const std::vector<std::int64_t> tiles = {10, 8};
+  const kernels::TeLoweredProgram lowered =
+      kernels::lower_te_program("lu", dims, tiles);
+  std::vector<runtime::NDArray> arrays;
+  arrays.reserve(lowered.params.size());
+  std::vector<std::pair<te::Tensor, runtime::NDArray*>> bindings;
+  for (const te::Tensor& param : lowered.params) {
+    arrays.emplace_back(param->shape);
+    bindings.emplace_back(param, &arrays.back());
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::filesystem::remove_all(options.cache_dir);
+    state.ResumeTiming();
+    const codegen::JitProgram program =
+        codegen::JitProgram::compile(lowered.stmt, bindings, options);
+    if (program.cache_hit()) state.SkipWithError("cache was not cold");
+    benchmark::DoNotOptimize(program.artifact_path());
+  }
+  std::filesystem::remove_all(options.cache_dir);
+}
+BENCHMARK(BM_JitColdCompile)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_NativeMatmulTiled(benchmark::State& state) {
   const std::int64_t n = state.range(0);

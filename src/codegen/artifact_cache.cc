@@ -1,15 +1,24 @@
 #include "codegen/artifact_cache.h"
 
+#include <fcntl.h>
+#include <spawn.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
+#include <vector>
 
 #include "common/logging.h"
 #include "common/timer.h"
+
+extern char** environ;
 
 namespace tvmbo::codegen {
 
@@ -71,7 +80,78 @@ std::string read_tail(const fs::path& path, std::size_t max_bytes = 2000) {
   return text;
 }
 
+/// Splits on whitespace, as the shell split the old command line.
+void append_words(const std::string& text, std::vector<std::string>* out) {
+  std::istringstream words(text);
+  for (std::string word; words >> word;) out->push_back(word);
+}
+
+/// Runs argv[0] (looked up on $PATH) with stdout and stderr sent to
+/// `log_path`, and waits for it. No shell is involved, so paths need no
+/// quoting, no /bin/sh is exec'd, and this process keeps its SIGINT and
+/// SIGQUIT dispositions (std::system ignores both while it waits).
+/// Returns a description of the failure, or an empty string on exit 0.
+std::string run_logged(const std::vector<std::string>& args,
+                       const fs::path& log_path) {
+  std::vector<char*> argv;
+  for (const std::string& arg : args) {
+    argv.push_back(const_cast<char*>(arg.c_str()));
+  }
+  argv.push_back(nullptr);
+  posix_spawn_file_actions_t actions;
+  ::posix_spawn_file_actions_init(&actions);
+  ::posix_spawn_file_actions_addopen(&actions, STDOUT_FILENO,
+                                     log_path.c_str(),
+                                     O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  ::posix_spawn_file_actions_adddup2(&actions, STDOUT_FILENO, STDERR_FILENO);
+  pid_t pid = 0;
+  const int error =
+      ::posix_spawnp(&pid, argv[0], &actions, nullptr, argv.data(), environ);
+  ::posix_spawn_file_actions_destroy(&actions);
+  if (error != 0) {
+    return "cannot start '" + args[0] + "': " + std::strerror(error);
+  }
+  int status = 0;
+  while (::waitpid(pid, &status, 0) < 0) {
+    if (errno != EINTR) return std::string("waitpid: ") + std::strerror(errno);
+  }
+  if (WIFEXITED(status)) {
+    return WEXITSTATUS(status) == 0
+               ? ""
+               : "exit " + std::to_string(WEXITSTATUS(status));
+  }
+  return "signal " + std::to_string(WTERMSIG(status));
+}
+
 }  // namespace
+
+/// Holds the per-key mutex of one key for its scope, and erases the key's
+/// entry when the last holder (or waiter) leaves, so in_flight_ only ever
+/// holds keys with a request in progress.
+class ArtifactCache::KeyLock {
+ public:
+  KeyLock(ArtifactCache& cache, const std::string& key)
+      : cache_(cache), key_(key) {
+    {
+      std::lock_guard<std::mutex> lock(cache_.mutex_);
+      slot_ = &cache_.in_flight_[key_];  // node-based: the address is stable
+      ++slot_->holders;
+    }
+    slot_->mutex.lock();
+  }
+  ~KeyLock() {
+    slot_->mutex.unlock();
+    std::lock_guard<std::mutex> lock(cache_.mutex_);
+    if (--slot_->holders == 0) cache_.in_flight_.erase(key_);
+  }
+  KeyLock(const KeyLock&) = delete;
+  KeyLock& operator=(const KeyLock&) = delete;
+
+ private:
+  ArtifactCache& cache_;
+  const std::string key_;
+  InFlight* slot_ = nullptr;
+};
 
 ArtifactCache::ArtifactCache(std::string dir) : dir_(std::move(dir)) {
   TVMBO_CHECK(!dir_.empty()) << "artifact cache requires a directory";
@@ -87,11 +167,24 @@ void ArtifactCache::reset_stats() {
   stats_ = CacheStats{};
 }
 
-std::shared_ptr<std::mutex> ArtifactCache::key_mutex(const std::string& key) {
+std::size_t ArtifactCache::in_flight() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::shared_ptr<std::mutex>& slot = in_flight_[key];
-  if (slot == nullptr) slot = std::make_shared<std::mutex>();
-  return slot;
+  return in_flight_.size();
+}
+
+std::size_t ArtifactCache::artifacts() const {
+  std::size_t count = 0;
+  std::error_code ec;
+  for (fs::directory_iterator it(dir_, ec), end; !ec && it != end;
+       it.increment(ec)) {
+    // tvmbo_<key>.so; compile temporaries are tvmbo_<key>.tmp.<...>.so.
+    const fs::path& path = it->path();
+    if (path.extension() == ".so" &&
+        path.stem().string().find('.') == std::string::npos) {
+      ++count;
+    }
+  }
+  return count;
 }
 
 Artifact ArtifactCache::get_or_compile(const std::string& source,
@@ -104,8 +197,7 @@ Artifact ArtifactCache::get_or_compile(const std::string& source,
 
   // Serialize per key so concurrent batch members that landed on the same
   // configuration compile it once; distinct keys proceed in parallel.
-  const std::shared_ptr<std::mutex> guard = key_mutex(key);
-  std::lock_guard<std::mutex> key_lock(*guard);
+  const KeyLock key_lock(*this, key);
 
   std::error_code ec;
   if (fs::exists(so_path, ec)) {
@@ -130,19 +222,21 @@ Artifact ArtifactCache::get_or_compile(const std::string& source,
       base.string() + ".tmp." +
       std::to_string(static_cast<std::uint64_t>(::getpid())) + "." +
       std::to_string(counter.fetch_add(1)) + ".so";
-  const std::string command = compiler + " " + flags + " -o \"" +
-                              tmp_path.string() + "\" \"" + c_path.string() +
-                              "\" -lm > \"" + log_path.string() + "\" 2>&1";
+  std::vector<std::string> args;
+  append_words(compiler, &args);
+  append_words(flags, &args);
+  TVMBO_CHECK(!args.empty()) << "JIT compile needs a compiler";
+  args.insert(args.end(), {"-o", tmp_path.string(), c_path.string(), "-lm"});
   Stopwatch timer;
-  const int rc = std::system(command.c_str());
+  const std::string failure = run_logged(args, log_path);
   const double elapsed = timer.elapsed_seconds();
-  if (rc != 0) {
+  if (!failure.empty()) {
     fs::remove(tmp_path, ec);
     {
       std::lock_guard<std::mutex> lock(mutex_);
       ++stats_.failures;
     }
-    TVMBO_CHECK(false) << "JIT compile failed (exit " << rc << "): '"
+    TVMBO_CHECK(false) << "JIT compile failed (" << failure << "): '"
                        << compiler << " " << flags << "' on "
                        << c_path.string() << "\n"
                        << read_tail(log_path);

@@ -10,8 +10,13 @@
 // Thread-safety: MeasureRunner builds batch members in parallel, so
 // get-or-compile is safe to call concurrently. Requests for distinct keys
 // compile in parallel; requests for the same key are serialized per key so
-// the compiler runs once. Cross-process races are resolved by compiling to
-// a unique temporary and rename(2)-ing into place (atomic on POSIX).
+// the compiler runs once; a key's mutex lives only while a request for it
+// is in progress. Cross-process races are resolved by compiling to a
+// unique temporary and rename(2)-ing into place (atomic on POSIX).
+//
+// The compiler is started with posix_spawnp, not through a shell: the
+// compiler and flag strings are split on whitespace into argv, and its
+// stdout and stderr go to the .log file.
 //
 // Invalidation: the key covers everything that determines the artifact
 // (source text embeds the schedule, shapes, and strides; compiler + flags
@@ -19,8 +24,8 @@
 // be deleted wholesale to reclaim space, never selectively.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -98,18 +103,26 @@ class ArtifactCache {
   const std::string& dir() const { return dir_; }
   CacheStats stats() const;
   void reset_stats();
+  /// Keys with a request in progress (each has a per-key mutex entry).
+  std::size_t in_flight() const;
+  /// Finished shared objects in dir(), whichever process compiled them.
+  std::size_t artifacts() const;
 
   /// Process-wide cache for `options.resolved_cache_dir()`; instances are
   /// shared per directory so stats aggregate across a whole tuning run.
   static ArtifactCache& shared(const JitOptions& options = {});
 
  private:
-  std::shared_ptr<std::mutex> key_mutex(const std::string& key);
+  class KeyLock;
+  struct InFlight {
+    std::mutex mutex;          ///< serializes requests for one key
+    std::size_t holders = 0;   ///< requests holding or awaiting `mutex`
+  };
 
   std::string dir_;
   mutable std::mutex mutex_;
   CacheStats stats_;
-  std::unordered_map<std::string, std::shared_ptr<std::mutex>> in_flight_;
+  std::unordered_map<std::string, InFlight> in_flight_;
 };
 
 /// 64-bit FNV-1a content hash (exposed for tests).

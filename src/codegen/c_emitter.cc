@@ -432,6 +432,34 @@ void Emitter::emit_stmt(const StmtNode* stmt, int depth) {
 
 }  // namespace
 
+std::string_view c_prelude() {
+  // Parsing <math.h>, <stdint.h> and <stdlib.h> is a large share of each
+  // cc1 run, yet generated code references only the names below. The
+  // types come from the compiler's predefined macros and the functions
+  // are library builtins to both gcc and clang, so the compiler attaches
+  // the same semantics either way and the kernels assemble to the same
+  // instructions as with the headers. INFINITY is spelled as glibc's
+  // <math.h> spells it for gcc. INT64_C falls back to an LL suffix on
+  // compilers that do not predefine __INT64_C.
+  return "/* generated by tvmbo::codegen (do not edit) */\n"
+         "typedef __INT64_TYPE__ int64_t;\n"
+         "#ifdef __INT64_C\n"
+         "#define INT64_C(c) __INT64_C(c)\n"
+         "#else\n"
+         "#define INT64_C(c) c##LL\n"
+         "#endif\n"
+         "typedef __SIZE_TYPE__ size_t;\n"
+         "#define INFINITY (__builtin_inff())\n"
+         "double floor(double);\n"
+         "double fabs(double);\n"
+         "double sqrt(double);\n"
+         "double exp(double);\n"
+         "double log(double);\n"
+         "void* calloc(size_t, size_t);\n"
+         "void free(void*);\n"
+         "void abort(void);\n\n";
+}
+
 std::string emit_c_source(const te::Stmt& stmt,
                           const std::vector<te::Tensor>& params,
                           const std::string& fn_name,
@@ -451,10 +479,7 @@ std::string emit_c_source(const te::Stmt& stmt,
       emitter.proven_vectorized.insert(loop);
     }
   }
-  emitter.out << "/* generated by tvmbo::codegen (do not edit) */\n"
-              << "#include <math.h>\n"
-              << "#include <stdint.h>\n"
-              << "#include <stdlib.h>\n\n"
+  emitter.out << c_prelude()
               << "static inline int64_t tvmbo_fdiv(int64_t a, int64_t b) "
                  "{ int64_t q = a / b; if ((a % b != 0) && ((a < 0) != "
                  "(b < 0))) --q; return q; }\n"

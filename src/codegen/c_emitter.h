@@ -1,8 +1,8 @@
 // C-source emission from lowered loop IR — the front half of the JIT
 // backend (the analogue of TVM's C codegen target).
 //
-// emit_c_source() prints a te::Stmt as one standalone, dependency-free C
-// translation unit exporting
+// emit_c_source() prints a te::Stmt as one standalone C translation unit
+// that includes no header (c_prelude() declares what it uses), exporting
 //
 //   void <fn_name>(double** bufs);
 //
@@ -17,6 +17,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "te/ir.h"
@@ -54,6 +55,12 @@ struct EmitOptions {
   /// Factor for the unroll pragma; values < 2 suppress it.
   int unroll_factor = 0;
 };
+
+/// The fixed text every emitted translation unit starts with: a comment
+/// line, then declarations of exactly what generated code references
+/// (int64_t, INT64_C, size_t, INFINITY, floor/fabs/sqrt/exp/log,
+/// calloc/free/abort) in place of the standard headers.
+std::string_view c_prelude();
 
 /// Emits a C translation unit computing `stmt`. `params` lists every
 /// externally bound tensor (placeholders and outputs) in bufs[] order;

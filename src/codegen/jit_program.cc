@@ -10,7 +10,54 @@
 namespace tvmbo::codegen {
 
 namespace {
+
 constexpr const char* kKernelSymbol = "tvmbo_kernel";
+
+/// Link flag for builds that need no OpenMP runtime. A kernel calls at
+/// most calloc/free/abort from libc and floor/fabs/sqrt/exp/log from libm
+/// (the command keeps -lm, so libm stays NEEDED); dlopen resolves the
+/// libc ones from the process, which always has libc loaded. Skipping the
+/// startup files and default libraries roughly halves the link step.
+/// OpenMP builds keep the default link: clang drops its OpenMP runtime
+/// under -nostdlib.
+constexpr const char* kLeanLink = " -nostdlib";
+
+/// One memoized probe per (extra flags, compiler, flags, cache dir):
+/// compiles `source` with `extra_flags` through the shared cache, loads
+/// it and checks that its tvmbo_kernel stores 64.0 in bufs[0][0]. Each
+/// caller passes one fixed source with its own extra flags, so the key
+/// need not cover the source. Sources come ready-made because compile()
+/// consults these probes and so must not be called from one.
+bool probe(const JitOptions& options, const std::string& source,
+           const std::string& extra_flags, bool pin) {
+  static std::mutex mutex;
+  static std::unordered_map<std::string, bool>* probed =
+      new std::unordered_map<std::string, bool>();
+  const std::string key = extra_flags + "\x1f" +
+                          options.resolved_compiler() + "\x1f" +
+                          options.flags + "\x1f" +
+                          options.resolved_cache_dir();
+  std::lock_guard<std::mutex> lock(mutex);
+  if (auto it = probed->find(key); it != probed->end()) return it->second;
+  bool ok = false;
+  try {
+    const Artifact artifact = ArtifactCache::shared(options).get_or_compile(
+        source, options.resolved_compiler(), options.flags + extra_flags);
+    const std::shared_ptr<JitModule> module =
+        JitModule::load(artifact.so_path, pin);
+    const auto fn =
+        reinterpret_cast<void (*)(double**)>(module->symbol(kKernelSymbol));
+    double value = 0.0;
+    double* buf = &value;
+    fn(&buf);
+    ok = value == 64.0;
+  } catch (const std::exception&) {
+    ok = false;
+  }
+  (*probed)[key] = ok;
+  return ok;
+}
+
 }  // namespace
 
 JitProgram JitProgram::compile(
@@ -52,7 +99,8 @@ JitProgram JitProgram::compile(
   // source text alone already separates parallel from serial cache keys.
   // The same contract covers kVectorized (`#pragma omp simd` +
   // -fopenmp-simd; a full -fopenmp build subsumes the flag) and residual
-  // kUnrolled loops (`#pragma GCC unroll`, no flag needed).
+  // kUnrolled loops (`#pragma GCC unroll`, no flag needed). Every build
+  // but an OpenMP one links lean (kLeanLink).
   EmitOptions emit_options;
   std::string flags = options.flags;
   bool openmp = false;
@@ -71,6 +119,7 @@ JitProgram JitProgram::compile(
     emit_options.unroll = true;
     emit_options.unroll_factor = options.unroll_factor;
   }
+  if (!openmp) flags += kLeanLink;
 
   JitProgram program;
   program.source_ = std::make_shared<const std::string>(
@@ -96,113 +145,43 @@ void JitProgram::run() const {
 }
 
 bool JitProgram::toolchain_available(const JitOptions& options) {
-  // One probe per (compiler, flags, cache dir): build and load a trivial
-  // kernel through the full emit -> cc -> dlopen -> dlsym pipeline.
-  static std::mutex mutex;
-  static std::unordered_map<std::string, bool>* probed =
-      new std::unordered_map<std::string, bool>();
-  const std::string key = options.resolved_compiler() + "\x1f" +
-                          options.flags + "\x1f" +
-                          options.resolved_cache_dir();
-  std::lock_guard<std::mutex> lock(mutex);
-  if (auto it = probed->find(key); it != probed->end()) return it->second;
-  bool ok = false;
-  try {
+  // The full emit -> cc -> dlopen -> dlsym pipeline on a trivial kernel,
+  // linked as compile() links every serial build.
+  static const std::string source = [] {
     const te::Tensor out = te::placeholder({1}, "probe");
     const te::Var i = te::make_var("i");
-    const te::Stmt stmt = te::make_for(
-        i, 1, te::ForKind::kSerial,
-        te::make_store(out, {i}, te::make_float(1.0)));
-    runtime::NDArray buffer({1});
-    JitProgram probe = JitProgram::compile(stmt, {{out, &buffer}}, options);
-    probe.run();
-    ok = buffer.f64()[0] == 1.0;
-  } catch (const std::exception&) {
-    ok = false;
-  }
-  (*probed)[key] = ok;
-  return ok;
+    return emit_c_source(
+        te::make_for(i, 1, te::ForKind::kSerial,
+                     te::make_store(out, {i}, te::make_float(64.0))),
+        {out}, kKernelSymbol);
+  }();
+  return probe(options, source, kLeanLink, /*pin=*/false);
 }
 
 bool JitProgram::openmp_available(const JitOptions& options) {
-  // One probe per (compiler, flags, cache dir): compile and run a real
-  // OpenMP reduction, verifying both -fopenmp acceptance and a working
-  // runtime (libgomp/libomp), not just flag parsing.
-  static std::mutex mutex;
-  static std::unordered_map<std::string, bool>* probed =
-      new std::unordered_map<std::string, bool>();
-  const std::string key = options.resolved_compiler() + "\x1f" +
-                          options.flags + "\x1f" +
-                          options.resolved_cache_dir();
-  std::lock_guard<std::mutex> lock(mutex);
-  if (auto it = probed->find(key); it != probed->end()) return it->second;
-  bool ok = false;
-  try {
-    // Hand-written probe source (not emit_c_source) so the probe does not
-    // recurse through compile(), which consults this function.
-    const std::string source =
-        "void tvmbo_kernel(double** bufs) {\n"
-        "  double acc = 0.0;\n"
-        "  #pragma omp parallel for reduction(+:acc) schedule(static)\n"
-        "  for (int i = 0; i < 64; ++i) acc += 1.0;\n"
-        "  bufs[0][0] = acc;\n"
-        "}\n";
-    const Artifact artifact = ArtifactCache::shared(options).get_or_compile(
-        source, options.resolved_compiler(), options.flags + " -fopenmp");
-    std::shared_ptr<JitModule> module =
-        JitModule::load(artifact.so_path, /*pin=*/true);
-    auto fn =
-        reinterpret_cast<KernelFn>(module->symbol(kKernelSymbol));
-    double value = 0.0;
-    double* buf = &value;
-    fn(&buf);
-    ok = value == 64.0;
-  } catch (const std::exception&) {
-    ok = false;
-  }
-  (*probed)[key] = ok;
-  return ok;
+  // A real OpenMP reduction verifies both -fopenmp acceptance and a
+  // working runtime (libgomp/libomp), not just flag parsing.
+  return probe(options,
+               "void tvmbo_kernel(double** bufs) {\n"
+               "  double acc = 0.0;\n"
+               "  #pragma omp parallel for reduction(+:acc) schedule(static)\n"
+               "  for (int i = 0; i < 64; ++i) acc += 1.0;\n"
+               "  bufs[0][0] = acc;\n"
+               "}\n",
+               " -fopenmp", /*pin=*/true);
 }
 
 bool JitProgram::simd_available(const JitOptions& options) {
-  // One probe per (compiler, flags, cache dir): compile a `#pragma omp
-  // simd` reduction with -fopenmp-simd and verify the result, proving the
-  // flag is accepted and the pragma does not miscompile.
-  static std::mutex mutex;
-  static std::unordered_map<std::string, bool>* probed =
-      new std::unordered_map<std::string, bool>();
-  const std::string key = options.resolved_compiler() + "\x1f" +
-                          options.flags + "\x1f" +
-                          options.resolved_cache_dir();
-  std::lock_guard<std::mutex> lock(mutex);
-  if (auto it = probed->find(key); it != probed->end()) return it->second;
-  bool ok = false;
-  try {
-    // Hand-written probe source (not emit_c_source) so the probe does not
-    // recurse through compile(), which consults this function.
-    const std::string source =
-        "void tvmbo_kernel(double** bufs) {\n"
-        "  double acc = 0.0;\n"
-        "  #pragma omp simd reduction(+:acc)\n"
-        "  for (int i = 0; i < 64; ++i) acc += 1.0;\n"
-        "  bufs[0][0] = acc;\n"
-        "}\n";
-    const Artifact artifact = ArtifactCache::shared(options).get_or_compile(
-        source, options.resolved_compiler(),
-        options.flags + " -fopenmp-simd");
-    std::shared_ptr<JitModule> module =
-        JitModule::load(artifact.so_path, /*pin=*/false);
-    auto fn =
-        reinterpret_cast<KernelFn>(module->symbol(kKernelSymbol));
-    double value = 0.0;
-    double* buf = &value;
-    fn(&buf);
-    ok = value == 64.0;
-  } catch (const std::exception&) {
-    ok = false;
-  }
-  (*probed)[key] = ok;
-  return ok;
+  // A `#pragma omp simd` reduction proves the flag is accepted and the
+  // pragma does not miscompile.
+  return probe(options,
+               "void tvmbo_kernel(double** bufs) {\n"
+               "  double acc = 0.0;\n"
+               "  #pragma omp simd reduction(+:acc)\n"
+               "  for (int i = 0; i < 64; ++i) acc += 1.0;\n"
+               "  bufs[0][0] = acc;\n"
+               "}\n",
+               " -fopenmp-simd", /*pin=*/false);
 }
 
 }  // namespace tvmbo::codegen

@@ -1,6 +1,7 @@
 #include "distd/worker_pool.h"
 
 #include <signal.h>
+#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -134,6 +135,16 @@ std::string resolve_worker_binary(const std::string& configured) {
   return "tvmbo_worker";  // $PATH lookup via execvpe
 }
 
+std::string socket_parent_dir(const std::string& temp_dir) {
+  const std::string socket_path =
+      (std::filesystem::path(temp_dir) / "tvmbo-distd-XXXXXX" / "pool.sock")
+          .string();
+  return !temp_dir.empty() &&
+                 socket_path.size() < sizeof(sockaddr_un::sun_path)
+             ? temp_dir
+             : "/tmp";
+}
+
 WorkerPool::WorkerPool(WorkerPoolOptions options)
     : options_(std::move(options)) {
   TVMBO_CHECK_GE(options_.num_workers, 1u)
@@ -150,9 +161,15 @@ WorkerPool::WorkerPool(WorkerPoolOptions options)
   } else {
     TVMBO_CHECK_EQ(options_.transport, "unix")
         << "unknown transport (want unix|tcp): " << options_.transport;
-    char dir_template[] = "/tmp/tvmbo-distd-XXXXXX";
-    TVMBO_CHECK(::mkdtemp(dir_template) != nullptr)
-        << "mkdtemp failed: " << std::strerror(errno);
+    std::error_code ec;
+    const std::filesystem::path temp_dir =
+        std::filesystem::temp_directory_path(ec);
+    std::string dir_template =
+        (std::filesystem::path(socket_parent_dir(ec ? "" : temp_dir.string())) /
+         "tvmbo-distd-XXXXXX")
+            .string();
+    TVMBO_CHECK(::mkdtemp(dir_template.data()) != nullptr)
+        << "mkdtemp(" << dir_template << ") failed: " << std::strerror(errno);
     socket_dir_ = dir_template;
     listener_ = ListenSocket::unix_domain(socket_dir_ + "/pool.sock");
   }

@@ -77,6 +77,12 @@ struct WorkerPoolOptions {
 /// Resolves the worker binary path per WorkerPoolOptions::worker_binary.
 std::string resolve_worker_binary(const std::string& configured);
 
+/// Where a unix-transport pool makes its private socket directory:
+/// `temp_dir` (the system temp directory, $TMPDIR first) when
+/// `<temp_dir>/tvmbo-distd-XXXXXX/pool.sock` fits in sockaddr_un's
+/// sun_path, else /tmp.
+std::string socket_parent_dir(const std::string& temp_dir);
+
 class WorkerPool {
   struct Worker;
 

@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <map>
 #include <sstream>
@@ -21,6 +22,7 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "distd/fault_kernels.h"
+#include "distd/worker_pool.h"
 #include "framework/session.h"
 #include "kernels/polybench.h"
 #include "runtime/cpu_device.h"
@@ -382,6 +384,47 @@ TEST(ProcRunner, BadWorkerBinaryThrowsAtConstruction) {
   options.pool.worker_binary = "/nonexistent/tvmbo_worker";
   options.pool.spawn_timeout_s = 2.0;
   EXPECT_THROW(ProcDevice{options}, CheckError);
+}
+
+TEST(ProcRunner, SocketParentDirFitsSunPathOrFallsBackToTmp) {
+  EXPECT_EQ(socket_parent_dir("/var/tmp"), "/var/tmp");
+  EXPECT_EQ(socket_parent_dir("/" + std::string(100, 'd')), "/tmp");
+  EXPECT_EQ(socket_parent_dir(""), "/tmp");
+}
+
+/// A unix-transport pool makes its socket directory under $TMPDIR, and
+/// under /tmp when the socket path would not fit sun_path there.
+TEST(ProcRunner, UnixSocketHonoursTmpdir) {
+  SKIP_WITHOUT_WORKER();
+  char tmpl[] = "/tmp/tvmbo-tmpdir-XXXXXX";
+  ASSERT_NE(::mkdtemp(tmpl), nullptr);
+  const std::string short_dir = tmpl;
+  const std::string long_dir = short_dir + "/" + std::string(100, 'd');
+  std::filesystem::create_directories(long_dir);
+  const char* saved = std::getenv("TMPDIR");
+  const std::string saved_value = saved != nullptr ? saved : "";
+
+  const auto endpoint_under = [](const std::string& tmpdir) {
+    ::setenv("TMPDIR", tmpdir.c_str(), 1);
+    WorkerPoolOptions options;
+    options.num_workers = 1;
+    options.heartbeat_ms = 100;
+    WorkerPool pool(options);
+    return pool.endpoint();
+  };
+  const std::string near = endpoint_under(short_dir);
+  const std::string fallback = endpoint_under(long_dir);
+  if (saved != nullptr) {
+    ::setenv("TMPDIR", saved_value.c_str(), 1);
+  } else {
+    ::unsetenv("TMPDIR");
+  }
+  EXPECT_EQ(near.rfind("unix:" + short_dir + "/tvmbo-distd-", 0), 0u)
+      << near;
+  EXPECT_EQ(fallback.rfind("unix:/tmp/tvmbo-distd-", 0), 0u) << fallback;
+  // Each pool removed its socket directory on shutdown.
+  EXPECT_TRUE(std::filesystem::is_empty(long_dir));
+  std::filesystem::remove_all(short_dir);
 }
 
 TEST(ProcRunner, JitBackendSharesOneArtifactCacheAcrossWorkers) {

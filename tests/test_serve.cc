@@ -212,10 +212,10 @@ TEST(Serve, LookupAnswersFromCacheWithoutDispatching) {
   std::ostringstream trace_out;
   runtime::TraceLog trace(&trace_out);
 
+  EventLog log;
   Scheduler scheduler(fast_options(1, &trace));
   EXPECT_EQ(scheduler.lookup_cache_size(), 0u);
 
-  EventLog log;
   const auto result =
       scheduler.submit(gemm_spec(kBudget, 2023), log.sink());
   ASSERT_TRUE(result.ok()) << result.message;
@@ -271,8 +271,8 @@ TEST(Serve, ThreeConcurrentJobsShareFourWorkers) {
   std::ostringstream trace_out;
   runtime::TraceLog trace(&trace_out);
 
-  Scheduler scheduler(fast_options(4, &trace));
   EventLog logs[3];
+  Scheduler scheduler(fast_options(4, &trace));
   std::uint64_t ids[3];
   const char* tenants[3] = {"alice", "bob", "carol"};
   for (int i = 0; i < 3; ++i) {
@@ -335,9 +335,10 @@ TEST(Serve, QuotaAndQueueRejectionsAreTyped) {
   options.max_jobs_per_tenant = 1;
   options.max_active_jobs = 2;
   options.max_budget = 50;
+  EventLog log_a;
+  EventLog log_b;
   Scheduler scheduler(options);
 
-  EventLog log_a;
   const auto a = scheduler.submit(fault_spec("fault.spin", 1, "alice"),
                                   log_a.sink());
   ASSERT_TRUE(a.ok()) << a.message;
@@ -345,7 +346,6 @@ TEST(Serve, QuotaAndQueueRejectionsAreTyped) {
   const auto a2 = scheduler.submit(gemm_spec(5, 1, "alice"), nullptr);
   EXPECT_EQ(a2.error_code, "quota_exceeded");
 
-  EventLog log_b;
   const auto b = scheduler.submit(gemm_spec(5, 1, "bob"), log_b.sink());
   ASSERT_TRUE(b.ok()) << b.message;
 
@@ -373,15 +373,15 @@ TEST(Serve, QuotaAndQueueRejectionsAreTyped) {
 /// it — cancellation frees capacity, it never strands it.
 TEST(Serve, CancelMidFlightFreesSlotToOtherTenant) {
   SKIP_WITHOUT_WORKER();
+  EventLog spin_log;
+  EventLog gemm_log;
   Scheduler scheduler(fast_options(1));
 
-  EventLog spin_log;
   const auto spin = scheduler.submit(fault_spec("fault.spin", 2, "alice"),
                                      spin_log.sink());
   ASSERT_TRUE(spin.ok()) << spin.message;
   ASSERT_TRUE(spin_log.wait_event("job_start"));
 
-  EventLog gemm_log;
   const auto gemm = scheduler.submit(gemm_spec(4, 7, "bob"),
                                      gemm_log.sink());
   ASSERT_TRUE(gemm.ok()) << gemm.message;
@@ -405,8 +405,8 @@ TEST(Serve, CancelMidFlightFreesSlotToOtherTenant) {
 /// job still runs its full budget — no ticket is ever stranded.
 TEST(Serve, WorkerCrashMidStreamDoesNotStrandJob) {
   SKIP_WITHOUT_WORKER();
-  Scheduler scheduler(fast_options(2));
   EventLog log;
+  Scheduler scheduler(fast_options(2));
   const auto result = scheduler.submit(fault_spec("fault.segv", 4),
                                        log.sink());
   ASSERT_TRUE(result.ok()) << result.message;
@@ -427,8 +427,8 @@ TEST(Serve, WorkerCrashMidStreamDoesNotStrandJob) {
 /// slots spawn lazily, and both jobs complete their budgets.
 TEST(Serve, ResizeDuringActiveJobsNeverStrands) {
   SKIP_WITHOUT_WORKER();
-  Scheduler scheduler(fast_options(3));
   EventLog logs[2];
+  Scheduler scheduler(fast_options(3));
   std::uint64_t ids[2];
   for (int i = 0; i < 2; ++i) {
     const auto result = scheduler.submit(
@@ -506,8 +506,8 @@ TEST(Serve, PoolLeaseAcquireReleaseResize) {
 
 TEST(Serve, DrainCancelsUnfinishedAndRejectsNew) {
   SKIP_WITHOUT_WORKER();
-  Scheduler scheduler(fast_options(1));
   EventLog logs[2];
+  Scheduler scheduler(fast_options(1));
   std::uint64_t ids[2];
   for (int i = 0; i < 2; ++i) {
     const auto result = scheduler.submit(

@@ -365,19 +365,37 @@ int main(int argc, char** argv) {
   if (args.device == "cpu" && *backend == runtime::ExecBackend::kJit) {
     codegen::ArtifactCache& cache = codegen::ArtifactCache::shared(jit_options);
     const codegen::CacheStats stats = cache.stats();
-    std::printf(
-        "jit cache: %zu hit(s), %zu miss(es), %zu failure(s), "
-        "hit rate %.1f%%, %.2f s compiling, dir %s\n",
-        stats.hits, stats.misses, stats.failures, 100.0 * stats.hit_rate(),
-        stats.compile_s, cache.dir().c_str());
+    // With --runner proc the workers compile, each with a cache of its
+    // own; this process's counters stay at zero, so report what the fleet
+    // left in the shared directory instead.
+    const bool in_workers = args.runner == "proc";
+    const std::size_t artifacts = in_workers ? cache.artifacts() : 0;
+    if (in_workers) {
+      std::printf(
+          "jit cache: the %zu worker process(es) compiled; "
+          "%zu artifact(s) in dir %s\n",
+          args.workers == 0 ? std::size_t{1} : args.workers, artifacts,
+          cache.dir().c_str());
+    } else {
+      std::printf(
+          "jit cache: %zu hit(s), %zu miss(es), %zu failure(s), "
+          "hit rate %.1f%%, %.2f s compiling, dir %s\n",
+          stats.hits, stats.misses, stats.failures, 100.0 * stats.hit_rate(),
+          stats.compile_s, cache.dir().c_str());
+    }
     if (trace != nullptr) {
       Json event = Json::object();
       event.set("event", "jit_cache_stats");
-      event.set("hits", stats.hits);
-      event.set("misses", stats.misses);
-      event.set("failures", stats.failures);
-      event.set("hit_rate", stats.hit_rate());
-      event.set("compile_s", stats.compile_s);
+      if (in_workers) {
+        event.set("runner", "proc");
+        event.set("artifacts", artifacts);
+      } else {
+        event.set("hits", stats.hits);
+        event.set("misses", stats.misses);
+        event.set("failures", stats.failures);
+        event.set("hit_rate", stats.hit_rate());
+        event.set("compile_s", stats.compile_s);
+      }
       event.set("dir", cache.dir());
       // The compile flags (and, when schedule knobs are on, the probe
       // results and knob settings) are part of the cache key, so record
