@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <unordered_map>
+#include <utility>
 
 #include "analysis/proof_cache.h"
 #include "common/logging.h"
@@ -12,6 +13,24 @@
 #include "tuners/measure_loop.h"
 
 namespace tvmbo::framework {
+
+namespace {
+
+/// The value a strategy minimizes for one measurement, and whether the
+/// objective is defined for it: the energy objectives need a device with
+/// a power model (energy_j > 0).
+std::pair<double, bool> objective_metric(Objective objective,
+                                         double runtime_s, double energy_j) {
+  switch (objective) {
+    case Objective::kRuntime: return {runtime_s, true};
+    case Objective::kEnergy: return {energy_j, energy_j > 0.0};
+    case Objective::kEnergyDelay:
+      return {energy_j * runtime_s, energy_j > 0.0};
+  }
+  return {runtime_s, true};
+}
+
+}  // namespace
 
 const char* strategy_name(StrategyKind kind) {
   switch (kind) {
@@ -163,18 +182,9 @@ std::vector<tuners::Trial> AutotuningSession::warm_start_trials(
       ++local.skipped_space;  // saved under a different space
       continue;
     }
-    double metric = record.runtime_s;
-    bool valid = record.valid;
-    if (options_.objective == Objective::kEnergy) {
-      metric = record.energy_j;
-    } else if (options_.objective == Objective::kEnergyDelay) {
-      metric = record.energy_j * record.runtime_s;
-    }
-    if (options_.objective != Objective::kRuntime &&
-        record.energy_j <= 0.0) {
-      valid = false;
-    }
-    prior.push_back({config, metric, valid});
+    const auto [metric, defined] = objective_metric(
+        options_.objective, record.runtime_s, record.energy_j);
+    prior.push_back({config, metric, record.valid && defined});
     ++local.seeded;
   }
   if (local.skipped_workload + local.skipped_space > 0) {
@@ -251,8 +261,6 @@ SessionResult AutotuningSession::run_strategy(tuners::Tuner& strategy,
   runtime::MeasureOption measure;
   measure.repeat = traits.repeat;
   measure.timeout_s = options_.measure_timeout_s;
-  const std::size_t batch_size = traits.batch_size;
-  const bool parallel_build = traits.parallel_build;
 
   // All measurement goes through the runner: fault isolation, retries,
   // trace events, and (when enabled) parallel batch execution. The
@@ -261,25 +269,52 @@ SessionResult AutotuningSession::run_strategy(tuners::Tuner& strategy,
   runner_options.strategy = result.strategy;
   runtime::MeasureRunner runner(device_, runner_options);
 
+  // Process time: streamed trials overlap, so the modeled serial clock
+  // does not apply and elapsed_s is real wall-clock; waves are charged
+  // the paper's modeled clock.
+  const Stopwatch wall;
   double clock = 0.0;
-  std::size_t evaluations = 0;
-  if (options_.async) {
-    // Streaming path: completion-driven submit/wait_any with every slot
-    // refilled the moment it frees — no wave barrier. Trials overlap, so
-    // the modeled serial process clock does not apply; elapsed_s records
-    // real wall-clock completion times instead.
-    const Stopwatch wall;
-    tuners::AskTellSession ask_tell(strategy, options_.max_evaluations);
-    std::unordered_map<runtime::MeasureRunner::Ticket, cs::Configuration>
-        in_flight;
-    const std::size_t slots = runner.async_slots();
-    bool out_of_time = false;
-    while (!ask_tell.done()) {
-      if (options_.max_time_s > 0.0 &&
-          wall.elapsed_seconds() >= options_.max_time_s) {
-        out_of_time = true;  // budget spent: drain, don't submit
-      }
-      while (!out_of_time && in_flight.size() < slots) {
+  const auto process_time = [&] {
+    return options_.async ? wall.elapsed_seconds() : clock;
+  };
+  // The strategy minimizes the configured objective; runtime and energy
+  // are both recorded regardless.
+  const auto to_trial = [&](cs::Configuration config,
+                            const runtime::MeasureResult& measured) {
+    const auto [metric, defined] = objective_metric(
+        options_.objective, measured.runtime_s, measured.energy_j);
+    return tuners::Trial{std::move(config), metric,
+                         measured.valid && defined};
+  };
+  const auto add_record = [&](const tuners::Trial& trial,
+                              const runtime::MeasureResult& measured,
+                              double elapsed_s) {
+    runtime::TrialRecord record;
+    record.eval_index = static_cast<int>(result.db.size());
+    record.strategy = result.strategy;
+    record.workload_id = task_->workload.id();
+    record.tiles = task_->config.space().values_int(trial.config);
+    record.runtime_s = measured.runtime_s;
+    record.energy_j = measured.energy_j;
+    record.compile_s = measured.compile_s;
+    record.elapsed_s = elapsed_s;
+    record.valid = trial.valid;
+    record.backend = options_.record_backend;
+    record.nthreads = options_.record_nthreads;
+    result.db.add(std::move(record));
+  };
+
+  tuners::AskTellSession ask_tell(strategy, options_.max_evaluations);
+  std::unordered_map<runtime::MeasureRunner::Ticket, cs::Configuration>
+      in_flight;
+  while (!ask_tell.done()) {
+    // A spent time budget stops asking; streamed trials already in
+    // flight still drain and are told.
+    const bool out_of_time = options_.max_time_s > 0.0 &&
+                             process_time() >= options_.max_time_s;
+    if (options_.async) {
+      // Stream: refill every free slot, then tell the next completion.
+      while (!out_of_time && in_flight.size() < runner.async_slots()) {
         std::optional<cs::Configuration> next = ask_tell.ask();
         if (!next.has_value()) break;
         const runtime::MeasureRunner::Ticket ticket =
@@ -287,128 +322,60 @@ SessionResult AutotuningSession::run_strategy(tuners::Tuner& strategy,
         in_flight.emplace(ticket, std::move(*next));
       }
       if (in_flight.empty()) break;
-
-      runtime::MeasureRunner::Completion completion = runner.wait_any();
-      auto it = in_flight.find(completion.ticket);
-      TVMBO_CHECK(it != in_flight.end())
+      const runtime::MeasureRunner::Completion completion =
+          runner.wait_any();
+      auto node = in_flight.extract(completion.ticket);
+      TVMBO_CHECK(!node.empty())
           << "completion for unknown ticket " << completion.ticket;
-      const runtime::MeasureResult& measured = completion.result;
-      double metric = measured.runtime_s;
-      if (options_.objective == Objective::kEnergy) {
-        metric = measured.energy_j;
-      } else if (options_.objective == Objective::kEnergyDelay) {
-        metric = measured.energy_j * measured.runtime_s;
-      }
-      bool valid = measured.valid;
-      if (options_.objective != Objective::kRuntime &&
-          measured.energy_j <= 0.0) {
-        valid = false;  // device has no power model
-      }
-      ask_tell.tell(it->second, metric, valid);
-
-      runtime::TrialRecord record;
-      record.eval_index = static_cast<int>(evaluations);
-      record.strategy = result.strategy;
-      record.workload_id = task_->workload.id();
-      record.tiles = task_->config.space().values_int(it->second);
-      record.runtime_s = measured.runtime_s;
-      record.energy_j = measured.energy_j;
-      record.compile_s = measured.compile_s;
-      record.elapsed_s = wall.elapsed_seconds();
-      record.valid = valid;
-      record.backend = options_.record_backend;
-      record.nthreads = options_.record_nthreads;
-      result.db.add(record);
-      in_flight.erase(it);
-      evaluations += 1;
+      const tuners::Trial trial =
+          to_trial(std::move(node.mapped()), completion.result);
+      ask_tell.tell({&trial, 1});
+      add_record(trial, completion.result, wall.elapsed_seconds());
+      continue;
     }
-    clock = wall.elapsed_seconds();
-  } else {
-    while (evaluations < options_.max_evaluations && strategy.has_next()) {
-      if (options_.max_time_s > 0.0 && clock >= options_.max_time_s) break;
-      const std::size_t want = std::min(
-          batch_size, options_.max_evaluations - evaluations);
-      const std::vector<cs::Configuration> batch = strategy.next_batch(want);
-      if (batch.empty()) break;
 
-      std::vector<tuners::Trial> trials;
-      std::vector<double> compiles;
-      trials.reserve(batch.size());
-      compiles.reserve(batch.size());
-      double batch_compile_sum = 0.0;
-      double batch_compile_max = 0.0;
-      double batch_run = 0.0;
-      std::vector<double> energies;
-      std::vector<double> runtimes;
-      energies.reserve(batch.size());
-      runtimes.reserve(batch.size());
-      std::vector<runtime::MeasureInput> inputs;
-      inputs.reserve(batch.size());
-      for (const cs::Configuration& config : batch) {
-        inputs.push_back(task_->measure_input(config));
-      }
-      const std::vector<runtime::MeasureResult> measured_batch =
-          runner.measure_batch(inputs, measure);
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        const cs::Configuration& config = batch[i];
-        const runtime::MeasureResult& measured = measured_batch[i];
-        batch_compile_sum += measured.compile_s;
-        batch_compile_max = std::max(batch_compile_max, measured.compile_s);
-        batch_run +=
-            measured.runtime_s * static_cast<double>(measure.repeat);
-        compiles.push_back(measured.compile_s);
-        energies.push_back(measured.energy_j);
-        runtimes.push_back(measured.runtime_s);
-        // The strategy minimizes the configured objective; runtime/energy
-        // are both recorded regardless.
-        double metric = measured.runtime_s;
-        if (options_.objective == Objective::kEnergy) {
-          metric = measured.energy_j;
-        } else if (options_.objective == Objective::kEnergyDelay) {
-          metric = measured.energy_j * measured.runtime_s;
-        }
-        bool valid = measured.valid;
-        if (options_.objective != Objective::kRuntime &&
-            measured.energy_j <= 0.0) {
-          valid = false;  // device has no power model
-        }
-        trials.push_back({config, metric, valid});
-      }
-      // Process-time accounting: parallel builder for AutoTVM batches,
-      // strictly sequential compile for ytopt.
-      clock += parallel_build ? batch_compile_max : batch_compile_sum;
-      clock += batch_run;
-      if (traits.overhead) {
-        clock += traits.overhead(strategy.history().size(), batch.size());
-      }
-
-      // Record each trial at the batch completion time, spreading runs
-      // across the batch window in measurement order for a faithful
-      // per-evaluation timeline.
-      double within = clock - batch_run;
-      for (std::size_t i = 0; i < trials.size(); ++i) {
-        within += runtimes[i] * static_cast<double>(measure.repeat);
-        runtime::TrialRecord record;
-        record.eval_index = static_cast<int>(evaluations + i);
-        record.strategy = result.strategy;
-        record.workload_id = task_->workload.id();
-        record.tiles = task_->config.space().values_int(trials[i].config);
-        record.runtime_s = runtimes[i];
-        record.energy_j = energies[i];
-        record.compile_s = compiles[i];
-        record.elapsed_s = within;
-        record.valid = trials[i].valid;
-        record.backend = options_.record_backend;
-        record.nthreads = options_.record_nthreads;
-        result.db.add(record);
-      }
-      evaluations += trials.size();
-      strategy.update(trials);
+    // Wave: measure a whole batch, then tell it in submission order.
+    if (out_of_time) break;
+    std::vector<cs::Configuration> wave = ask_tell.ask(traits.batch_size);
+    if (wave.empty()) break;
+    std::vector<runtime::MeasureInput> inputs;
+    inputs.reserve(wave.size());
+    for (const cs::Configuration& config : wave) {
+      inputs.push_back(task_->measure_input(config));
     }
+    const std::vector<runtime::MeasureResult> measured =
+        runner.measure_batch(inputs, measure);
+    std::vector<tuners::Trial> trials;
+    trials.reserve(wave.size());
+    double compile_sum = 0.0;
+    double compile_max = 0.0;
+    double run_sum = 0.0;
+    for (std::size_t i = 0; i < wave.size(); ++i) {
+      compile_sum += measured[i].compile_s;
+      compile_max = std::max(compile_max, measured[i].compile_s);
+      run_sum += measured[i].runtime_s * static_cast<double>(measure.repeat);
+      trials.push_back(to_trial(std::move(wave[i]), measured[i]));
+    }
+    // Process-time accounting: AutoTVM batches compile in parallel (the
+    // slowest member counts), ytopt compiles strictly sequentially.
+    clock += traits.parallel_build ? compile_max : compile_sum;
+    clock += run_sum;
+    if (traits.overhead) {
+      clock += traits.overhead(strategy.history().size(), trials.size());
+    }
+    // Record each trial at the batch completion time, spreading runs
+    // across the batch window in measurement order for a faithful
+    // per-evaluation timeline.
+    double within = clock - run_sum;
+    for (std::size_t i = 0; i < trials.size(); ++i) {
+      within += measured[i].runtime_s * static_cast<double>(measure.repeat);
+      add_record(trials[i], measured[i], within);
+    }
+    ask_tell.tell(trials);
   }
 
-  result.total_time_s = clock;
-  result.evaluations = evaluations;
+  result.total_time_s = process_time();
+  result.evaluations = ask_tell.completed();
   result.analysis_rejects = runner.analysis_rejects();
   if (options_.measure.trace != nullptr) {
     // Proof-cache effectiveness for this run: how many race/verify
@@ -424,12 +391,9 @@ SessionResult AutotuningSession::run_strategy(tuners::Tuner& strategy,
   double best_metric = std::numeric_limits<double>::infinity();
   for (const runtime::TrialRecord& record : result.db.records()) {
     if (!record.valid) continue;
-    double metric = record.runtime_s;
-    if (options_.objective == Objective::kEnergy) {
-      metric = record.energy_j;
-    } else if (options_.objective == Objective::kEnergyDelay) {
-      metric = record.energy_j * record.runtime_s;
-    }
+    const double metric = objective_metric(options_.objective,
+                                           record.runtime_s, record.energy_j)
+                              .first;
     if (metric < best_metric) {
       best_metric = metric;
       result.best = record;

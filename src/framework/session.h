@@ -88,7 +88,9 @@ std::unique_ptr<tuners::Tuner> make_strategy_tuner(
 
 struct SessionOptions {
   std::size_t max_evaluations = 100;  ///< the paper uses 100 everywhere
-  double max_time_s = 0.0;            ///< wall-clock budget (0 = unlimited)
+  /// Process-time budget (0 = unlimited): the modeled clock for waves,
+  /// wall-clock when `async`. Once spent, nothing more is asked.
+  double max_time_s = 0.0;
   std::size_t batch_size = 8;         ///< AutoTVM measurement batch
   int autotvm_repeat = 3;             ///< AutoTVM timed runs per evaluation
   int ytopt_repeat = 1;               ///< ytopt evaluates the app once
@@ -210,7 +212,9 @@ class AutotuningSession {
 
   /// Runs a caller-supplied strategy (e.g. the AutoScheduler-lite
   /// evolutionary search) under the same measurement loop and process-time
-  /// accounting as the built-in five.
+  /// accounting as the built-in five. The loop measures in waves of
+  /// traits.batch_size on the modeled clock, or streams trials
+  /// completion-driven on the wall clock when options().async is set.
   SessionResult run_strategy(tuners::Tuner& strategy,
                              const StrategyTraits& traits);
 

@@ -33,10 +33,6 @@ MeasureRunner::~MeasureRunner() {
   });
 }
 
-void MeasureRunner::set_strategy(std::string strategy) {
-  options_.strategy = std::move(strategy);
-}
-
 Json MeasureRunner::event(const char* name, std::size_t trial) const {
   Json e = Json::object();
   e.set("event", name);

@@ -130,13 +130,8 @@ class MeasureRunner {
   /// parallel (the deterministic serial mode).
   std::size_t async_slots() const;
 
-  /// Re-attributes subsequent trace events (e.g. per-strategy sessions).
-  void set_strategy(std::string strategy);
-
   Device* device() const { return device_; }
   const MeasureRunnerOptions& options() const { return options_; }
-  /// Total trials submitted over the runner's lifetime.
-  std::size_t trials_submitted() const { return next_trial_; }
   /// Trials rejected by the static pre-screen (never dispatched).
   std::size_t analysis_rejects() const { return analysis_rejects_; }
 

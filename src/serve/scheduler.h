@@ -2,7 +2,7 @@
 // streaming BO loop onto one shared elastic WorkerPool.
 //
 // Each job is an AskTellSession (tuners/measure_loop.h) — the same
-// propose/tell machine run_measure_loop_async drives — plus the
+// propose/tell machine AutotuningSession's streaming loop drives — plus the
 // kernel's configuration space and a strategy tuner built by
 // framework::make_strategy_tuner with the session's seed-derivation
 // scheme. The scheduler thread ticks all sessions from the outside:

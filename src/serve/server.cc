@@ -200,17 +200,19 @@ void ServeServer::handle_submit(distd::Socket& socket, const Json& request) {
   if (!result.ok()) return;
 
   // The connection is now the event stream. Keep reading so we notice a
-  // vanished client (EOF cancels the job — an abandoned tenant must not
-  // keep burning shared workers) and accept in-band job_cancel frames.
+  // vanished client and accept in-band job_cancel frames. However the
+  // stream ends before the job does — EOF, a framing violation, or a
+  // failed event write (a client that stopped reading) — the job is
+  // cancelled: an abandoned tenant must not keep burning shared workers.
+  const char* reason = "client disconnected";
   for (;;) {
     {
       std::lock_guard<std::mutex> lock(state->mutex);
       if (state->terminal || state->closed) break;
     }
     if (stop_.load()) {
-      // Server shutdown without a drain: the scheduler (or its owner)
-      // is responsible for the job; just stop serving the stream.
-      scheduler_->cancel(result.job, "server shutdown");
+      // Server shutdown without a drain: no one will serve this stream.
+      reason = "server shutdown";
       break;
     }
     Json frame;
@@ -218,17 +220,18 @@ void ServeServer::handle_submit(distd::Socket& socket, const Json& request) {
         distd::read_frame(state->socket.fd(), &frame, options_.poll_ms,
                           kServeMaxFrameBytes);
     if (status == FrameStatus::kTimeout) continue;
-    if (status == FrameStatus::kOk) {
-      if (distd::frame_type(frame) == "job_cancel") {
-        scheduler_->cancel(result.job, "client request");
-      }
-      continue;
+    if (status != FrameStatus::kOk) break;  // client gone or hostile
+    if (distd::frame_type(frame) == "job_cancel") {
+      scheduler_->cancel(result.job, "client request");
     }
-    // EOF, error, or a framing violation mid-stream: the client is gone
-    // or hostile either way.
-    scheduler_->cancel(result.job, "client disconnected");
-    break;
   }
+  bool terminal = false;
+  {
+    std::lock_guard<std::mutex> lock(state->mutex);
+    terminal = state->terminal;
+  }
+  // Unlocked: the job_cancel event goes out through the sink.
+  if (!terminal) scheduler_->cancel(result.job, reason);
   std::lock_guard<std::mutex> lock(state->mutex);
   state->closed = true;
   state->socket.close();

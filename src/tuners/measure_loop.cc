@@ -1,48 +1,10 @@
 #include "tuners/measure_loop.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "common/logging.h"
 
 namespace tvmbo::tuners {
-
-MeasureLoopResult run_measure_loop(Tuner& tuner,
-                                   runtime::MeasureRunner& runner,
-                                   const MeasureInputFn& make_input,
-                                   const MeasureLoopOptions& options) {
-  TVMBO_CHECK(static_cast<bool>(make_input))
-      << "measure loop requires an input builder";
-  TVMBO_CHECK_GT(options.batch_size, 0u) << "batch_size must be positive";
-
-  MeasureLoopResult out;
-  while (out.evaluations < options.max_evaluations && tuner.has_next()) {
-    const std::size_t want = std::min(
-        options.batch_size, options.max_evaluations - out.evaluations);
-    const std::vector<cs::Configuration> batch = tuner.next_batch(want);
-    if (batch.empty()) break;
-
-    std::vector<runtime::MeasureInput> inputs;
-    inputs.reserve(batch.size());
-    for (const cs::Configuration& config : batch) {
-      inputs.push_back(make_input(config));
-    }
-    const std::vector<runtime::MeasureResult> measured =
-        runner.measure_batch(inputs, options.measure);
-
-    std::vector<Trial> trials;
-    trials.reserve(batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      trials.push_back(
-          {batch[i], measured[i].runtime_s, measured[i].valid});
-    }
-    tuner.update(trials);
-    out.trials.insert(out.trials.end(), trials.begin(), trials.end());
-    out.results.insert(out.results.end(), measured.begin(), measured.end());
-    out.evaluations += batch.size();
-  }
-  return out;
-}
 
 AskTellSession::AskTellSession(Tuner& tuner, std::size_t max_evaluations)
     : tuner_(tuner), max_evaluations_(max_evaluations) {}
@@ -52,74 +14,37 @@ bool AskTellSession::can_ask() const {
 }
 
 std::optional<cs::Configuration> AskTellSession::ask() {
-  if (!can_ask()) return std::nullopt;
-  // Strict ask-one order: a liar-imputing tuner accounts for the
-  // configurations already in flight, so asking one at a time never
-  // re-proposes a pending point — and keeps the proposal sequence a pure
-  // function of (space, seed, tell history), independent of how many
-  // slots the driver happens to have free.
-  std::vector<cs::Configuration> next = tuner_.next_batch(1);
-  if (next.empty()) {
-    exhausted_ = true;
-    return std::nullopt;
-  }
-  ++submitted_;
+  std::vector<cs::Configuration> next = ask(1);
+  if (next.empty()) return std::nullopt;
   return std::move(next[0]);
+}
+
+std::vector<cs::Configuration> AskTellSession::ask(std::size_t n) {
+  if (n == 0 || !can_ask()) return {};
+  std::vector<cs::Configuration> next =
+      tuner_.next_batch(std::min(n, max_evaluations_ - submitted_));
+  if (next.empty()) exhausted_ = true;
+  submitted_ += next.size();
+  return next;
 }
 
 void AskTellSession::tell(const cs::Configuration& config, double metric,
                           bool valid) {
-  TVMBO_CHECK_LT(completed_, submitted_)
+  const Trial trial{config, metric, valid};
+  tell({&trial, 1});
+}
+
+void AskTellSession::tell(std::span<const Trial> trials) {
+  TVMBO_CHECK_LE(trials.size(), in_flight())
       << "tell without a matching in-flight ask";
-  Trial trial{config, metric, valid};
-  tuner_.update({&trial, 1});
-  ++completed_;
+  tuner_.update(trials);
+  completed_ += trials.size();
 }
 
 void AskTellSession::abandon() {
   TVMBO_CHECK_LT(completed_, submitted_)
       << "abandon without a matching in-flight ask";
   ++completed_;
-}
-
-MeasureLoopResult run_measure_loop_async(Tuner& tuner,
-                                         runtime::MeasureRunner& runner,
-                                         const MeasureInputFn& make_input,
-                                         const MeasureLoopOptions& options) {
-  TVMBO_CHECK(static_cast<bool>(make_input))
-      << "measure loop requires an input builder";
-
-  MeasureLoopResult out;
-  AskTellSession session(tuner, options.max_evaluations);
-  std::unordered_map<runtime::MeasureRunner::Ticket, cs::Configuration>
-      in_flight;
-  const std::size_t slots = runner.async_slots();
-
-  while (!session.done()) {
-    // Refill every free slot before blocking: the tuner's ask() is cheap
-    // relative to a measurement.
-    while (in_flight.size() < slots) {
-      std::optional<cs::Configuration> next = session.ask();
-      if (!next.has_value()) break;
-      const runtime::MeasureRunner::Ticket ticket =
-          runner.submit(make_input(*next), options.measure);
-      in_flight.emplace(ticket, std::move(*next));
-    }
-    if (in_flight.empty()) break;  // budget or space exhausted: drain done
-
-    runtime::MeasureRunner::Completion completion = runner.wait_any();
-    auto it = in_flight.find(completion.ticket);
-    TVMBO_CHECK(it != in_flight.end())
-        << "completion for unknown ticket " << completion.ticket;
-    session.tell(it->second, completion.result.runtime_s,
-                 completion.result.valid);
-    out.trials.push_back({std::move(it->second), completion.result.runtime_s,
-                          completion.result.valid});
-    in_flight.erase(it);
-    out.results.push_back(std::move(completion.result));
-    out.evaluations += 1;
-  }
-  return out;
 }
 
 }  // namespace tvmbo::tuners

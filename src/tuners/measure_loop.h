@@ -1,56 +1,22 @@
-// The batched measure loop shared by AutoTVM-style drivers: repeatedly
-// ask a Tuner for its next batch (Step 1), measure every member through a
-// MeasureRunner (Steps 2–4: serial or parallel, fault-isolated, traced),
-// and feed the results back (Step 5), until the evaluation budget is
-// spent or the tuner exhausts its space.
-//
-// AutotuningSession wraps this same shape with the paper's process-time
-// model; this standalone loop is for callers that want real measurements
-// without the modeled clock (examples, tools, custom drivers).
+// AskTellSession: the propose/tell state every tuning loop runs its
+// Tuner through — ask (Step 1), then the loop measures (Steps 2–4),
+// then tell (Step 5).
 #pragma once
 
-#include <functional>
 #include <optional>
+#include <span>
 #include <vector>
 
-#include "runtime/measure_runner.h"
 #include "tuners/tuner.h"
 
 namespace tvmbo::tuners {
 
-/// Builds the MeasureInput for a proposed configuration (Step 2: bind the
-/// code mold / native kernel to concrete tiles).
-using MeasureInputFn =
-    std::function<runtime::MeasureInput(const cs::Configuration&)>;
-
-struct MeasureLoopOptions {
-  std::size_t max_evaluations = 100;
-  std::size_t batch_size = 8;
-  runtime::MeasureOption measure;
-};
-
-struct MeasureLoopResult {
-  /// One entry per evaluation, in measurement order; trials[i] and
-  /// results[i] describe the same configuration.
-  std::vector<Trial> trials;
-  std::vector<runtime::MeasureResult> results;
-  std::size_t evaluations = 0;
-};
-
-/// Runs the loop to completion. Per-trial failures never abort the loop:
-/// they come back as invalid trials (the tuner sees valid=false).
-MeasureLoopResult run_measure_loop(Tuner& tuner,
-                                   runtime::MeasureRunner& runner,
-                                   const MeasureInputFn& make_input,
-                                   const MeasureLoopOptions& options = {});
-
-/// The propose/tell state machine of a streaming tuning session, with the
-/// driving loop factored *out*: ask() hands the caller the next
-/// configuration to measure (strict ask-one order, so trajectories are
-/// reproducible) and tell() feeds a completed measurement back, while the
+/// The propose/tell state machine of a tuning session, with the driving
+/// loop factored *out*: ask() hands the caller the next configuration(s)
+/// to measure and tell() feeds completed measurements back, while the
 /// session tracks budget, in-flight count, and space exhaustion. Both
-/// run_measure_loop_async and the tvmbo_serve scheduler drive their
-/// sessions through this class — the daemon's externally-ticked
+/// AutotuningSession::run_strategy and the tvmbo_serve scheduler drive
+/// their sessions through this class — the daemon's externally-ticked
 /// multi-tenant loops and the single-tenant `--async` loop are the same
 /// machine, which is what makes a fixed-seed serve job reproduce the
 /// `--runner proc --async` trajectory bit-identically.
@@ -66,11 +32,26 @@ class AskTellSession {
   /// Proposes the next configuration, or nullopt once the budget is fully
   /// submitted or the tuner exhausts its space. Every returned
   /// configuration must eventually be tell()-ed (or abandon()-ed).
+  ///
+  /// Strict ask-one order: a liar-imputing tuner accounts for the
+  /// configurations already in flight, so asking one at a time never
+  /// re-proposes a pending point — and keeps the proposal sequence a pure
+  /// function of (space, seed, tell history), independent of how many
+  /// slots the caller happens to have free.
   std::optional<cs::Configuration> ask();
+
+  /// Proposes up to `n` configurations in one Tuner::next_batch call (a
+  /// measurement wave), capped by the remaining budget; empty once the
+  /// budget is fully submitted or the space is exhausted.
+  std::vector<cs::Configuration> ask(std::size_t n);
 
   /// Feeds one completed measurement back to the tuner (completion order;
   /// a liar-imputing tuner un-hallucinates the config on update).
   void tell(const cs::Configuration& config, double metric, bool valid);
+
+  /// Feeds a whole wave back in one Tuner::update call: tuners that
+  /// retrain per update (XGB, GA) see one refit per wave, as AutoTVM does.
+  void tell(std::span<const Trial> trials);
 
   /// Drops one in-flight trial without telling the tuner (a cancelled or
   /// discarded measurement). The budget slot is *not* refunded.
@@ -95,17 +76,5 @@ class AskTellSession {
   std::size_t completed_ = 0;
   bool exhausted_ = false;
 };
-
-/// Completion-driven variant: keeps runner.async_slots() trials in
-/// flight via submit()/wait_any(), asking the tuner for one more
-/// configuration the moment a slot frees and telling each result back as
-/// it lands (completion order) — no wave barrier, so one straggler never
-/// idles the other slots. With a serial runner (async_slots() == 1) the
-/// schedule degenerates to strict ask/measure/tell alternation: the
-/// fixed-seed deterministic mode, trajectory-identical to the batch loop
-/// at batch_size 1. trials[i]/results[i] are in completion order.
-MeasureLoopResult run_measure_loop_async(
-    Tuner& tuner, runtime::MeasureRunner& runner,
-    const MeasureInputFn& make_input, const MeasureLoopOptions& options = {});
 
 }  // namespace tvmbo::tuners

@@ -21,7 +21,6 @@
 #include "runtime/measure_runner.h"
 #include "runtime/swing_sim.h"
 #include "runtime/trace_log.h"
-#include "tuners/measure_loop.h"
 #include "ytopt/bayes_opt.h"
 
 namespace tvmbo::runtime {
@@ -219,73 +218,82 @@ TEST(AsyncPipeline, DestructorDrainsInFlightTrials) {
   EXPECT_GT(finished.load(), 0);
 }
 
+/// Session traits of a caller-supplied ytopt optimizer at batch size 1.
+framework::StrategyTraits ytopt_traits() {
+  framework::StrategyTraits traits;
+  traits.batch_size = 1;
+  traits.repeat = 1;
+  traits.parallel_build = false;
+  return traits;
+}
+
 TEST(AsyncPipeline, AsyncLoopMatchesBatchLoopFixedSeed) {
-  // run_measure_loop_async with a serial runner reproduces the batch
-  // loop's trajectory exactly at batch size 1 (strict ask/measure/tell
-  // alternation, empty pending set at every refit).
-  const Workload w = lu_workload(2000);
-  const auto space = kernels::build_space("lu", w.dims);
-  auto make_input = [&](const cs::Configuration& config) {
-    MeasureInput input;
-    input.workload = w;
-    input.tiles = space.values_int(config);
-    return input;
+  // The session's streaming loop with a serial runner reproduces its
+  // wave loop's trajectory exactly at batch size 1 for a caller-supplied
+  // optimizer (strict ask/measure/tell alternation, empty pending set at
+  // every refit).
+  const autotvm::Task task =
+      kernels::make_task("lu", kernels::Dataset::kLarge);
+  auto run = [&](bool async) {
+    SwingSimDevice device(2023);
+    framework::SessionOptions options;
+    options.max_evaluations = 30;
+    options.async = async;
+    framework::AutotuningSession session(&task, &device, options);
+    ytopt::BayesianOptimizer bo(&task.config.space(), 99);
+    return session.run_strategy(bo, ytopt_traits());
   };
-  tuners::MeasureLoopOptions loop_options;
-  loop_options.max_evaluations = 30;
-  loop_options.batch_size = 1;
-
-  SwingSimDevice batch_device(2023);
-  MeasureRunner batch_runner(&batch_device);
-  ytopt::BayesianOptimizer batch_bo(&space, 99);
-  const auto batch = tuners::run_measure_loop(batch_bo, batch_runner,
-                                              make_input, loop_options);
-
-  SwingSimDevice stream_device(2023);
-  MeasureRunner stream_runner(&stream_device);
-  ytopt::BayesianOptimizer stream_bo(&space, 99);
-  const auto streamed = tuners::run_measure_loop_async(
-      stream_bo, stream_runner, make_input, loop_options);
+  const auto batch = run(false);
+  const auto streamed = run(true);
 
   ASSERT_EQ(batch.evaluations, streamed.evaluations);
-  ASSERT_EQ(batch.trials.size(), streamed.trials.size());
-  for (std::size_t i = 0; i < batch.trials.size(); ++i) {
-    EXPECT_TRUE(batch.trials[i].config == streamed.trials[i].config)
+  ASSERT_EQ(batch.db.size(), streamed.db.size());
+  for (std::size_t i = 0; i < batch.db.size(); ++i) {
+    EXPECT_EQ(batch.db.record(i).tiles, streamed.db.record(i).tiles)
         << "trajectory diverged at trial " << i;
-    EXPECT_DOUBLE_EQ(batch.trials[i].runtime_s, streamed.trials[i].runtime_s);
+    EXPECT_DOUBLE_EQ(batch.db.record(i).runtime_s,
+                     streamed.db.record(i).runtime_s);
   }
 }
 
 TEST(AsyncPipeline, AsyncLoopKeepsSlotsFullWithParallelRunner) {
-  // With 4 slots and a liar-imputing tuner the async loop completes the
-  // budget, never proposes a config twice, and tells every result back.
-  const Workload w = lu_workload(2000);
-  const auto space = kernels::build_space("lu", w.dims);
-  auto make_input = [&](const cs::Configuration& config) {
+  // With 4 slots (fewer on a host with fewer cores: the session streams
+  // on the default pool) and a liar-imputing tuner, the session's
+  // streaming loop keeps the slots busy, completes the budget, never
+  // proposes a config twice, and tells every result back.
+  std::atomic<int> running{0};
+  std::atomic<int> peak{0};
+  autotvm::Task task = kernels::make_task("lu", kernels::Dataset::kLarge);
+  task.instantiate = [&](const std::vector<std::int64_t>& knobs) {
     MeasureInput input;
-    input.workload = w;
-    input.tiles = space.values_int(config);
-    input.run = [] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    input.workload = task.workload;
+    input.tiles = knobs;
+    input.run = [&running, &peak] {
+      const int now = running.fetch_add(1) + 1;
+      int seen = peak.load();
+      while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      running.fetch_sub(1);
     };
     return input;
   };
   CpuDevice device;
-  MeasureRunnerOptions options;
-  options.parallel = true;
-  ThreadPool pool(4);
-  MeasureRunner runner(&device, options, &pool);
-  ytopt::BayesianOptimizer bo(&space, 5);
-  tuners::MeasureLoopOptions loop_options;
-  loop_options.max_evaluations = 40;
-  const auto out =
-      tuners::run_measure_loop_async(bo, runner, make_input, loop_options);
+  framework::SessionOptions options;
+  options.max_evaluations = 40;
+  options.async = true;
+  options.measure.parallel = true;
+  options.measure.max_concurrency = 4;
+  framework::AutotuningSession session(&task, &device, options);
+  ytopt::BayesianOptimizer bo(&task.config.space(), 5);
+  const auto out = session.run_strategy(bo, ytopt_traits());
+  EXPECT_EQ(static_cast<std::size_t>(peak.load()),
+            std::min<std::size_t>(4, default_thread_pool().num_threads()));
   EXPECT_EQ(out.evaluations, 40u);
   EXPECT_EQ(bo.pending_count(), 0u);
-  std::set<std::uint64_t> seen;
-  for (const auto& trial : out.trials) {
-    EXPECT_TRUE(seen.insert(trial.config.hash()).second)
-        << "config measured twice";
+  std::set<std::vector<std::int64_t>> seen;
+  for (const TrialRecord& record : out.db.records()) {
+    EXPECT_TRUE(seen.insert(record.tiles).second) << "config measured twice";
   }
 }
 

@@ -117,6 +117,53 @@ TEST(Energy, SessionTunesForEnergyObjective) {
   }
 }
 
+/// Energy and EDP tuning on both loop policies (parameter: async). At
+/// ytopt's batch size 1 the wave loop and the single-slot stream visit
+/// the same configurations, so both must pick the same best record: the
+/// objective's minimum over the database.
+class EnergySession : public ::testing::TestWithParam<bool> {};
+
+TEST_P(EnergySession, TunesForEnergyObjective) {
+  const autotvm::Task task = kernels::make_task("lu", Dataset::kLarge);
+  for (const framework::Objective objective :
+       {framework::Objective::kEnergy, framework::Objective::kEnergyDelay}) {
+    SCOPED_TRACE(framework::objective_name(objective));
+    auto run = [&](bool async) {
+      runtime::SwingSimDevice device(11);
+      framework::SessionOptions options;
+      options.max_evaluations = 60;
+      options.objective = objective;
+      options.async = async;
+      framework::AutotuningSession session(&task, &device, options);
+      return session.run(framework::StrategyKind::kYtopt);
+    };
+    auto metric = [&](const runtime::TrialRecord& record) {
+      return objective == framework::Objective::kEnergy
+                 ? record.energy_j
+                 : record.energy_j * record.runtime_s;
+    };
+    const auto result = run(GetParam());
+    ASSERT_TRUE(result.best.has_value());
+    EXPECT_GT(result.best->energy_j, 0.0);
+    for (const auto& record : result.db.records()) {
+      if (record.valid) {
+        EXPECT_LE(metric(*result.best), metric(record));
+      }
+    }
+    const auto wave = GetParam() ? run(false) : result;
+    ASSERT_TRUE(wave.best.has_value());
+    EXPECT_EQ(result.best->eval_index, wave.best->eval_index);
+    EXPECT_EQ(result.best->tiles, wave.best->tiles);
+    EXPECT_DOUBLE_EQ(result.best->runtime_s, wave.best->runtime_s);
+    EXPECT_DOUBLE_EQ(result.best->energy_j, wave.best->energy_j);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Policies, EnergySession, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "stream" : "wave";
+                         });
+
 TEST(Energy, EnergyObjectiveInvalidWithoutPowerMeter) {
   // On a device without a power model, energy tuning cannot proceed:
   // every trial is marked invalid and no best is found.

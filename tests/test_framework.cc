@@ -1,14 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <set>
 #include <string>
+#include <thread>
 
+#include "common/thread_pool.h"
 #include "configspace/divisors.h"
 #include "framework/code_mold.h"
 #include "framework/figures.h"
 #include "framework/session.h"
 #include "kernels/polybench.h"
+#include "runtime/cpu_device.h"
 #include "runtime/swing_sim.h"
+#include "ytopt/bayes_opt.h"
 
 namespace tvmbo::framework {
 namespace {
@@ -99,6 +104,47 @@ TEST(Session, MaxTimeBudgetStopsEarly) {
   const SessionResult result = session.run(StrategyKind::kAutotvmRandom);
   EXPECT_LT(result.evaluations, 100u);
   EXPECT_GT(result.evaluations, 0u);
+}
+
+TEST(Session, StreamingTimeBudgetStopsSubmittingAndDrains) {
+  // The streaming loop's time budget is wall-clock: once it is spent the
+  // session asks for nothing more, drains the trials already in flight
+  // and tells every asked configuration back.
+  autotvm::Task task = kernels::make_task("lu", kernels::Dataset::kLarge);
+  task.instantiate = [&task](const std::vector<std::int64_t>& knobs) {
+    runtime::MeasureInput input;
+    input.workload = task.workload;
+    input.tiles = knobs;
+    input.run = [] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    };
+    return input;
+  };
+  runtime::CpuDevice device;
+  SessionOptions options = fast_options(1000);
+  options.max_time_s = 0.1;
+  options.async = true;
+  options.measure.parallel = true;
+  AutotuningSession session(&task, &device, options);
+  ytopt::BayesianOptimizer bo(&task.config.space(), 3);
+  StrategyTraits traits;
+  traits.batch_size = 1;
+  traits.repeat = 1;
+  const SessionResult result = session.run_strategy(bo, traits);
+
+  EXPECT_GT(result.evaluations, 0u);
+  EXPECT_LT(result.evaluations, 1000u);
+  EXPECT_GE(result.total_time_s, options.max_time_s);
+  EXPECT_EQ(result.db.size(), result.evaluations);
+  EXPECT_EQ(bo.history().size(), result.evaluations);
+  EXPECT_EQ(bo.pending_count(), 0u);
+  // Only trials in flight when the budget ran out (at most one per
+  // slot) may complete after it.
+  std::size_t late = 0;
+  for (const runtime::TrialRecord& record : result.db.records()) {
+    late += record.elapsed_s >= options.max_time_s ? 1 : 0;
+  }
+  EXPECT_LE(late, default_thread_pool().num_threads());
 }
 
 TEST(Session, RunAllCoversFiveStrategies) {

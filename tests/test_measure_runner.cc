@@ -15,9 +15,6 @@
 #include "kernels/polybench.h"
 #include "runtime/cpu_device.h"
 #include "runtime/swing_sim.h"
-#include "tuners/measure_loop.h"
-#include "tuners/random_tuner.h"
-#include "ytopt/bayes_opt.h"
 
 namespace tvmbo::runtime {
 namespace {
@@ -285,52 +282,40 @@ TEST(MeasureRunner, NestedDispatchFromWorkerRunsInline) {
   EXPECT_EQ(future.get(), 4u);
 }
 
-TEST(MeasureLoop, QlcbBatchParallelEqualsSerial) {
+TEST(Session, QlcbBatchParallelEqualsSerial) {
   // The qLCB batch path end-to-end: ytopt proposes batches of 8, the
-  // runner measures them — parallel and serial engines must produce the
-  // same trial history on the simulated device.
-  const Workload w = lu_workload(2000);
-  const auto space = kernels::build_space("lu", w.dims);
-  auto make_input = [&](const cs::Configuration& config) {
-    MeasureInput input;
-    input.workload = w;
-    input.tiles = space.values_int(config);
-    return input;
-  };
-  tuners::MeasureLoopOptions loop_options;
-  loop_options.max_evaluations = 32;
-  loop_options.batch_size = 8;
-
-  ThreadPool pool(4);
+  // session measures them as waves — parallel and serial engines must
+  // produce the same trial history on the simulated device.
+  const autotvm::Task task =
+      kernels::make_task("lu", kernels::Dataset::kLarge);
   auto run = [&](bool parallel) {
     SwingSimDevice device(2023);
-    MeasureRunnerOptions options;
-    options.parallel = parallel;
-    MeasureRunner runner(&device, options, &pool);
-    ytopt::BayesianOptimizer bo(&space, 99);
-    return tuners::run_measure_loop(bo, runner, make_input, loop_options);
+    framework::SessionOptions options;
+    options.max_evaluations = 32;
+    options.ytopt_batch_size = 8;
+    options.measure.parallel = parallel;
+    framework::AutotuningSession session(&task, &device, options);
+    return session.run(framework::StrategyKind::kYtopt);
   };
   const auto serial = run(false);
   const auto parallel = run(true);
 
   ASSERT_EQ(serial.evaluations, parallel.evaluations);
-  ASSERT_EQ(serial.trials.size(), parallel.trials.size());
-  for (std::size_t i = 0; i < serial.trials.size(); ++i) {
-    EXPECT_TRUE(serial.trials[i].config == parallel.trials[i].config);
-    EXPECT_DOUBLE_EQ(serial.trials[i].runtime_s,
-                     parallel.trials[i].runtime_s);
+  ASSERT_EQ(serial.db.size(), parallel.db.size());
+  for (std::size_t i = 0; i < serial.db.size(); ++i) {
+    EXPECT_EQ(serial.db.record(i).tiles, parallel.db.record(i).tiles);
+    EXPECT_DOUBLE_EQ(serial.db.record(i).runtime_s,
+                     parallel.db.record(i).runtime_s);
   }
 }
 
-TEST(MeasureLoop, InvalidTrialsDoNotAbortTheLoop) {
-  CpuDevice device;
-  const Workload w = lu_workload(8);
-  const auto space = kernels::build_space("lu", w.dims);
+TEST(Session, InvalidTrialsDoNotAbortTheLoop) {
+  autotvm::Task task = kernels::make_task("lu", kernels::Dataset::kLarge);
   std::atomic<int> proposals{0};
-  auto make_input = [&](const cs::Configuration& config) {
+  task.instantiate = [&](const std::vector<std::int64_t>& knobs) {
     MeasureInput input;
-    input.workload = w;
-    input.tiles = space.values_int(config);
+    input.workload = task.workload;
+    input.tiles = knobs;
     // Every third proposed trial fails (on every one of its runs); the
     // rest succeed. Per-trial, not per-run, so warmup repeats don't
     // poison the healthy trials.
@@ -340,16 +325,17 @@ TEST(MeasureLoop, InvalidTrialsDoNotAbortTheLoop) {
     };
     return input;
   };
-  tuners::MeasureLoopOptions loop_options;
-  loop_options.max_evaluations = 12;
-  loop_options.batch_size = 4;
-  MeasureRunner runner(&device);
-  tuners::RandomTuner tuner(&space, 7);
-  const auto out =
-      tuners::run_measure_loop(tuner, runner, make_input, loop_options);
+  CpuDevice device;
+  framework::SessionOptions options;
+  options.max_evaluations = 12;
+  options.batch_size = 4;
+  framework::AutotuningSession session(&task, &device, options);
+  const auto out = session.run(framework::StrategyKind::kAutotvmRandom);
   EXPECT_EQ(out.evaluations, 12u);
   int invalid = 0;
-  for (const auto& trial : out.trials) invalid += trial.valid ? 0 : 1;
+  for (const TrialRecord& record : out.db.records()) {
+    invalid += record.valid ? 0 : 1;
+  }
   EXPECT_GT(invalid, 0);
   EXPECT_LT(invalid, 12);
 }

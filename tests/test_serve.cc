@@ -8,6 +8,7 @@
 #include "serve/scheduler.h"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -605,6 +606,42 @@ TEST(Serve, ClientDisconnectCancelsJob) {
         << "disconnect never cancelled the job";
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
+  scheduler.drain();
+  server.shutdown();
+}
+
+/// A client that stops reading (but keeps its connection open) makes the
+/// server's next event write fail; that too must cancel the job, or it
+/// keeps its worker for the rest of its budget.
+TEST(Serve, ClientThatStopsReadingCancelsJob) {
+  SKIP_WITHOUT_WORKER();
+  Scheduler scheduler(fast_options(1));
+  ServerOptions server_options;
+  server_options.socket_path = temp_socket_path("shut_rd");
+  server_options.poll_ms = 50;
+  ServeServer server(&scheduler, server_options);
+
+  ServeClient client(server.endpoint());
+  JobSpec spec = gemm_spec(200, 3);
+  spec.size = "medium";  // seconds of trials: the job outlives the test
+  const auto outcome = client.submit(spec);
+  ASSERT_TRUE(outcome.ok()) << outcome.message;
+  ASSERT_EQ(::shutdown(client.fd(), SHUT_RD), 0);
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  JobState state = JobState::kQueued;
+  while (state == JobState::kQueued || state == JobState::kRunning) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "the job neither finished nor was cancelled";
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const auto status = scheduler.status(outcome.job);
+    ASSERT_TRUE(status.has_value());
+    state = status->state;
+  }
+  EXPECT_EQ(state, JobState::kCancelled)
+      << "job ran to " << job_state_name(state) << " for a client that "
+      << "no longer reads its events";
   scheduler.drain();
   server.shutdown();
 }
