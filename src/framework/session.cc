@@ -1,7 +1,6 @@
 #include "framework/session.h"
 
 #include <algorithm>
-#include <limits>
 #include <unordered_map>
 #include <utility>
 
@@ -10,7 +9,6 @@
 #include "common/timer.h"
 #include "kernels/te_programs.h"
 #include "transfer/cost_model.h"
-#include "tuners/measure_loop.h"
 
 namespace tvmbo::framework {
 
@@ -112,6 +110,92 @@ std::unique_ptr<tuners::Tuner> make_strategy_tuner(
   }
   TVMBO_CHECK(false) << "unknown strategy";
   return nullptr;
+}
+
+AskTellSession::AskTellSession(tuners::Tuner& tuner,
+                               std::size_t max_evaluations,
+                               Objective objective,
+                               const cs::ConfigurationSpace& space,
+                               std::string strategy, std::string workload_id,
+                               std::string backend, std::int64_t nthreads)
+    : tuner_(tuner),
+      max_evaluations_(max_evaluations),
+      objective_(objective),
+      space_(space),
+      strategy_(std::move(strategy)),
+      workload_id_(std::move(workload_id)),
+      backend_(std::move(backend)),
+      nthreads_(nthreads) {}
+
+bool AskTellSession::can_ask() const {
+  return !exhausted_ && submitted_ < max_evaluations_ && tuner_.has_next();
+}
+
+std::optional<cs::Configuration> AskTellSession::ask() {
+  std::vector<cs::Configuration> next = ask(1);
+  if (next.empty()) return std::nullopt;
+  return std::move(next[0]);
+}
+
+std::vector<cs::Configuration> AskTellSession::ask(std::size_t n) {
+  if (n == 0 || !can_ask()) return {};
+  std::vector<cs::Configuration> next =
+      tuner_.next_batch(std::min(n, max_evaluations_ - submitted_));
+  if (next.empty()) exhausted_ = true;
+  submitted_ += next.size();
+  return next;
+}
+
+std::span<runtime::TrialRecord> AskTellSession::tell(
+    std::span<cs::Configuration> wave,
+    std::span<const runtime::MeasureResult> measured,
+    std::span<const double> elapsed_s) {
+  TVMBO_CHECK_LE(wave.size(), in_flight())
+      << "tell without a matching in-flight ask";
+  // The strategy minimizes the objective; runtime and energy are both
+  // recorded regardless.
+  trials_.clear();
+  for (std::size_t i = 0; i < wave.size(); ++i) {
+    const auto [metric, defined] = objective_metric(
+        objective_, measured[i].runtime_s, measured[i].energy_j);
+    trials_.push_back(
+        {std::move(wave[i]), metric, measured[i].valid && defined});
+  }
+  tuner_.update(trials_);
+  records_.clear();
+  for (std::size_t i = 0; i < wave.size(); ++i) {
+    const tuners::Trial& trial = trials_[i];
+    runtime::TrialRecord record;
+    record.eval_index = static_cast<int>(told_++);
+    record.strategy = strategy_;
+    record.workload_id = workload_id_;
+    record.tiles = space_.values_int(trial.config);
+    record.runtime_s = measured[i].runtime_s;
+    record.energy_j = measured[i].energy_j;
+    record.compile_s = measured[i].compile_s;
+    record.elapsed_s = elapsed_s[i];
+    record.valid = trial.valid;
+    record.backend = backend_;
+    record.nthreads = nthreads_;
+    if (trial.valid && trial.runtime_s < best_metric_) {
+      best_metric_ = trial.runtime_s;
+      best_ = record;
+    }
+    records_.push_back(std::move(record));
+  }
+  return records_;
+}
+
+runtime::TrialRecord AskTellSession::tell(
+    cs::Configuration config, const runtime::MeasureResult& measured,
+    double elapsed_s) {
+  return std::move(tell({&config, 1}, {&measured, 1}, {&elapsed_s, 1})[0]);
+}
+
+void AskTellSession::abandon() {
+  TVMBO_CHECK_GT(in_flight(), 0u)
+      << "abandon without a matching in-flight ask";
+  ++abandoned_;
 }
 
 AutotuningSession::AutotuningSession(const autotvm::Task* task,
@@ -277,36 +361,14 @@ SessionResult AutotuningSession::run_strategy(tuners::Tuner& strategy,
   const auto process_time = [&] {
     return options_.async ? wall.elapsed_seconds() : clock;
   };
-  // The strategy minimizes the configured objective; runtime and energy
-  // are both recorded regardless.
-  const auto to_trial = [&](cs::Configuration config,
-                            const runtime::MeasureResult& measured) {
-    const auto [metric, defined] = objective_metric(
-        options_.objective, measured.runtime_s, measured.energy_j);
-    return tuners::Trial{std::move(config), metric,
-                         measured.valid && defined};
-  };
-  const auto add_record = [&](const tuners::Trial& trial,
-                              const runtime::MeasureResult& measured,
-                              double elapsed_s) {
-    runtime::TrialRecord record;
-    record.eval_index = static_cast<int>(result.db.size());
-    record.strategy = result.strategy;
-    record.workload_id = task_->workload.id();
-    record.tiles = task_->config.space().values_int(trial.config);
-    record.runtime_s = measured.runtime_s;
-    record.energy_j = measured.energy_j;
-    record.compile_s = measured.compile_s;
-    record.elapsed_s = elapsed_s;
-    record.valid = trial.valid;
-    record.backend = options_.record_backend;
-    record.nthreads = options_.record_nthreads;
-    result.db.add(std::move(record));
-  };
 
-  tuners::AskTellSession ask_tell(strategy, options_.max_evaluations);
+  AskTellSession ask_tell(strategy, options_.max_evaluations,
+                          options_.objective, task_->config.space(),
+                          result.strategy, task_->workload.id(),
+                          options_.record_backend, options_.record_nthreads);
   std::unordered_map<runtime::MeasureRunner::Ticket, cs::Configuration>
       in_flight;
+  std::vector<double> elapsed;
   while (!ask_tell.done()) {
     // A spent time budget stops asking; streamed trials already in
     // flight still drain and are told.
@@ -327,10 +389,8 @@ SessionResult AutotuningSession::run_strategy(tuners::Tuner& strategy,
       auto node = in_flight.extract(completion.ticket);
       TVMBO_CHECK(!node.empty())
           << "completion for unknown ticket " << completion.ticket;
-      const tuners::Trial trial =
-          to_trial(std::move(node.mapped()), completion.result);
-      ask_tell.tell({&trial, 1});
-      add_record(trial, completion.result, wall.elapsed_seconds());
+      result.db.add(ask_tell.tell(std::move(node.mapped()),
+                                  completion.result, wall.elapsed_seconds()));
       continue;
     }
 
@@ -345,37 +405,39 @@ SessionResult AutotuningSession::run_strategy(tuners::Tuner& strategy,
     }
     const std::vector<runtime::MeasureResult> measured =
         runner.measure_batch(inputs, measure);
-    std::vector<tuners::Trial> trials;
-    trials.reserve(wave.size());
     double compile_sum = 0.0;
     double compile_max = 0.0;
     double run_sum = 0.0;
-    for (std::size_t i = 0; i < wave.size(); ++i) {
-      compile_sum += measured[i].compile_s;
-      compile_max = std::max(compile_max, measured[i].compile_s);
-      run_sum += measured[i].runtime_s * static_cast<double>(measure.repeat);
-      trials.push_back(to_trial(std::move(wave[i]), measured[i]));
+    for (const runtime::MeasureResult& member : measured) {
+      compile_sum += member.compile_s;
+      compile_max = std::max(compile_max, member.compile_s);
+      run_sum += member.runtime_s * static_cast<double>(measure.repeat);
     }
     // Process-time accounting: AutoTVM batches compile in parallel (the
     // slowest member counts), ytopt compiles strictly sequentially.
     clock += traits.parallel_build ? compile_max : compile_sum;
     clock += run_sum;
     if (traits.overhead) {
-      clock += traits.overhead(strategy.history().size(), trials.size());
+      clock += traits.overhead(strategy.history().size(), wave.size());
     }
     // Record each trial at the batch completion time, spreading runs
     // across the batch window in measurement order for a faithful
     // per-evaluation timeline.
+    elapsed.clear();
     double within = clock - run_sum;
-    for (std::size_t i = 0; i < trials.size(); ++i) {
-      within += measured[i].runtime_s * static_cast<double>(measure.repeat);
-      add_record(trials[i], measured[i], within);
+    for (const runtime::MeasureResult& member : measured) {
+      within += member.runtime_s * static_cast<double>(measure.repeat);
+      elapsed.push_back(within);
     }
-    ask_tell.tell(trials);
+    for (runtime::TrialRecord& record :
+         ask_tell.tell(wave, measured, elapsed)) {
+      result.db.add(std::move(record));
+    }
   }
 
   result.total_time_s = process_time();
-  result.evaluations = ask_tell.completed();
+  result.evaluations = ask_tell.told();
+  result.best = ask_tell.best();
   result.analysis_rejects = runner.analysis_rejects();
   if (options_.measure.trace != nullptr) {
     // Proof-cache effectiveness for this run: how many race/verify
@@ -386,18 +448,6 @@ SessionResult AutotuningSession::run_strategy(tuners::Tuner& strategy,
     e.set("strategy", result.strategy);
     e.set("stats", analysis::ProofCache::global().stats().to_json());
     options_.measure.trace->record(std::move(e));
-  }
-  // Best record by the configured objective.
-  double best_metric = std::numeric_limits<double>::infinity();
-  for (const runtime::TrialRecord& record : result.db.records()) {
-    if (!record.valid) continue;
-    const double metric = objective_metric(options_.objective,
-                                           record.runtime_s, record.energy_j)
-                              .first;
-    if (metric < best_metric) {
-      best_metric = metric;
-      result.best = record;
-    }
   }
   return result;
 }

@@ -19,7 +19,9 @@
 //     overhead, which grows with the number of observations.
 #pragma once
 
+#include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -195,6 +197,101 @@ struct StrategyTraits {
   int repeat = 3;
   bool parallel_build = true;
   std::function<double(std::size_t, std::size_t)> overhead;  ///< may be null
+};
+
+/// One tuning run's ask→tell→record state (the paper's Steps 1 and 5),
+/// with the measuring and the clock left to the driver: ask() hands out
+/// the next configuration(s) to measure, and tell() maps a measurement to
+/// the objective, feeds it to the tuner, and returns its TrialRecord. The
+/// run tracks budget, in-flight count, space exhaustion and the best
+/// record. AutotuningSession::run_strategy drives one run per strategy,
+/// and the tvmbo_serve scheduler multiplexes one run per job onto its
+/// worker fleet; both number, stamp and rank records here, which is what
+/// makes a fixed-seed serve job reproduce the `--runner proc --async`
+/// records bit-identically.
+///
+/// Not thread-safe: exactly one driver (the loop, or the serve scheduler
+/// thread) may call ask()/tell().
+class AskTellSession {
+ public:
+  /// The tuner and the space (the tuner's) must outlive the session.
+  /// `max_evaluations` caps submitted trials (asked configurations), told
+  /// or not. Records carry `strategy` as their label, plus the workload id
+  /// and the backend/nthreads provenance.
+  AskTellSession(tuners::Tuner& tuner, std::size_t max_evaluations,
+                 Objective objective, const cs::ConfigurationSpace& space,
+                 std::string strategy, std::string workload_id,
+                 std::string backend, std::int64_t nthreads);
+
+  /// Proposes the next configuration, or nullopt once the budget is fully
+  /// submitted or the tuner exhausts its space. Every returned
+  /// configuration must eventually be tell()-ed (or abandon()-ed).
+  ///
+  /// Strict ask-one order: a liar-imputing tuner accounts for the
+  /// configurations already in flight, so asking one at a time never
+  /// re-proposes a pending point — and keeps the proposal sequence a pure
+  /// function of (space, seed, tell history), independent of how many
+  /// slots the caller happens to have free.
+  std::optional<cs::Configuration> ask();
+
+  /// Proposes up to `n` configurations in one Tuner::next_batch call (a
+  /// measurement wave), capped by the remaining budget; empty once the
+  /// budget is fully submitted or the space is exhausted.
+  std::vector<cs::Configuration> ask(std::size_t n);
+
+  /// Feeds one completed measurement back to the tuner (completion order;
+  /// a liar-imputing tuner un-hallucinates the config on update) and
+  /// returns its record. The record is valid only when the measurement is
+  /// and the objective is defined for it (energy needs a power model);
+  /// `eval_index` counts told trials and `elapsed_s` is the driver's clock.
+  runtime::TrialRecord tell(cs::Configuration config,
+                            const runtime::MeasureResult& measured,
+                            double elapsed_s);
+
+  /// Tells a whole wave (its configurations are moved from) in one
+  /// Tuner::update call: tuners that retrain per update (XGB, GA) see one
+  /// refit per wave, as AutoTVM does. Returns the members' records in
+  /// wave order, in a buffer the next tell reuses.
+  std::span<runtime::TrialRecord> tell(
+      std::span<cs::Configuration> wave,
+      std::span<const runtime::MeasureResult> measured,
+      std::span<const double> elapsed_s);
+
+  /// Drops one in-flight trial without telling the tuner (a cancelled or
+  /// discarded measurement): no record, no eval index. The budget slot is
+  /// *not* refunded.
+  void abandon();
+
+  /// True while ask() may still return a configuration.
+  bool can_ask() const;
+  /// True once every submitted trial has been told/abandoned and no more
+  /// can be asked — the session's terminal state.
+  bool done() const { return !can_ask() && in_flight() == 0; }
+
+  /// Trials told so far; the next record's eval_index.
+  std::size_t told() const { return told_; }
+  std::size_t in_flight() const { return submitted_ - told_ - abandoned_; }
+  /// First valid record with the lowest objective value, if any.
+  const std::optional<runtime::TrialRecord>& best() const { return best_; }
+
+ private:
+  tuners::Tuner& tuner_;
+  std::size_t max_evaluations_;
+  Objective objective_;
+  const cs::ConfigurationSpace& space_;
+  std::string strategy_;
+  std::string workload_id_;
+  std::string backend_;
+  std::int64_t nthreads_;
+  std::size_t submitted_ = 0;
+  std::size_t told_ = 0;
+  std::size_t abandoned_ = 0;
+  bool exhausted_ = false;
+  std::optional<runtime::TrialRecord> best_;
+  double best_metric_ = std::numeric_limits<double>::infinity();
+  // Reused per tell, so the loop allocates nothing per trial for them.
+  std::vector<tuners::Trial> trials_;
+  std::vector<runtime::TrialRecord> records_;
 };
 
 class AutotuningSession {

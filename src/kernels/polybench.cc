@@ -208,7 +208,7 @@ std::vector<std::int64_t> space_extents(
 
 cs::ConfigurationSpace build_space(const std::string& kernel,
                                    const std::vector<std::int64_t>& dims) {
-  return build_space(kernel, dims, ParallelKnobs{});
+  return build_space(kernel, dims, ScheduleKnobs{});
 }
 
 cs::ConfigurationSpace build_space(const std::string& kernel,

@@ -74,9 +74,6 @@ struct ScheduleKnobs {
   bool extended() const { return enabled || widened(); }
 };
 
-/// Source-compatible name from before the vectorize/unroll/pack tier.
-using ParallelKnobs = ScheduleKnobs;
-
 /// build_space plus trailing schedule ordinals. When `knobs.enabled`,
 /// P_par over {0..te_num_parallel_axes} (0 = serial) and P_threads over
 /// thread_counts(knobs.max_threads). When `knobs.widened()`, P_vec,

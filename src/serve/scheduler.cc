@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <limits>
 #include <utility>
 
 #include "common/logging.h"
@@ -12,7 +11,6 @@
 #include "kernels/polybench.h"
 #include "runtime/exec_backend.h"
 #include "transfer/model_store.h"
-#include "tuners/measure_loop.h"
 
 namespace tvmbo::serve {
 
@@ -44,8 +42,8 @@ Json JobStatus::to_json() const {
 
 /// One live job: the kernel's space, the strategy tuner seeded exactly
 /// like a solo AutotuningSession would seed it, and the AskTellSession
-/// the scheduler ticks. The space is heap-pinned (the tuner keeps a
-/// pointer into it).
+/// run the scheduler ticks (budget, in-flight count, records, best). The
+/// space is heap-pinned (the tuner and the run keep pointers into it).
 struct Scheduler::Job {
   std::uint64_t id = 0;
   JobSpec spec;
@@ -53,15 +51,11 @@ struct Scheduler::Job {
   runtime::ExecBackend backend = runtime::ExecBackend::kNative;
   std::unique_ptr<cs::ConfigurationSpace> space;
   std::unique_ptr<tuners::Tuner> tuner;
-  std::unique_ptr<tuners::AskTellSession> session;
+  std::unique_ptr<framework::AskTellSession> run;
   EventSink sink;
 
   JobState state = JobState::kQueued;
-  std::size_t completed = 0;
-  std::size_t in_flight = 0;
   double slot_seconds = 0.0;
-  double best_runtime_s = std::numeric_limits<double>::infinity();
-  std::vector<std::int64_t> best_tiles;
   /// Leases of this job's in-flight dispatches (kill targets on cancel).
   std::map<std::uint64_t, distd::WorkerPool::Lease> leases;
 
@@ -69,7 +63,11 @@ struct Scheduler::Job {
     return state == JobState::kDone || state == JobState::kCancelled;
   }
   /// Runnable = the fill loop may ask() it for another configuration.
-  bool runnable() const { return !terminal() && session->can_ask(); }
+  bool runnable() const { return !terminal() && run->can_ask(); }
+  /// Best valid runtime so far, 0 until a valid trial lands.
+  double best_runtime_s() const {
+    return run->best().has_value() ? run->best()->runtime_s : 0.0;
+  }
 
   JobStatus status() const {
     JobStatus out;
@@ -80,13 +78,10 @@ struct Scheduler::Job {
     out.state = state;
     out.priority = spec.priority;
     out.budget = spec.budget;
-    out.completed = completed;
-    out.in_flight = in_flight;
+    out.completed = run->told();
+    out.in_flight = run->in_flight();
     out.slot_seconds = slot_seconds;
-    out.best_runtime_s =
-        best_runtime_s == std::numeric_limits<double>::infinity()
-            ? 0.0
-            : best_runtime_s;
+    out.best_runtime_s = best_runtime_s();
     return out;
   }
 };
@@ -209,7 +204,7 @@ Scheduler::SubmitResult Scheduler::submit(const JobSpec& spec,
       const kernels::Dataset dataset =
           kernels::dataset_from_name(spec.size);
       job->workload = kernels::make_workload(spec.kernel, dataset);
-      kernels::ParallelKnobs knobs;
+      kernels::ScheduleKnobs knobs;
       knobs.enabled = spec.nthreads != 1;
       knobs.max_threads = spec.nthreads;
       if (knobs.enabled) {
@@ -227,8 +222,6 @@ Scheduler::SubmitResult Scheduler::submit(const JobSpec& spec,
     job->tuner = framework::make_strategy_tuner(*kind, job->space.get(),
                                                 spec.seed,
                                                 options_.strategy);
-    job->session = std::make_unique<tuners::AskTellSession>(*job->tuner,
-                                                            spec.budget);
   } catch (const std::exception& e) {
     return reject("bad_request", e.what());
   }
@@ -259,6 +252,13 @@ Scheduler::SubmitResult Scheduler::submit(const JobSpec& spec,
     }
     job->id = next_job_id_++;
     out.job = job->id;
+    // The job's run minimizes runtime; records are labelled
+    // tenant/job/strategy in the shared perf db.
+    job->run = std::make_unique<framework::AskTellSession>(
+        *job->tuner, spec.budget, framework::Objective::kRuntime,
+        *job->space,
+        spec.tenant + "/" + std::to_string(job->id) + "/" + spec.strategy,
+        job->workload.id(), spec.backend, spec.nthreads);
     Json event = Json::object();
     event.set("event", "job_admit");
     event.set("job", job->id);
@@ -306,12 +306,12 @@ void Scheduler::finish_cancel_locked(Job& job, const std::string& reason,
   event.set("job", job.id);
   event.set("tenant", job.spec.tenant);
   event.set("reason", reason);
-  event.set("completed", static_cast<std::int64_t>(job.completed));
+  event.set("completed", static_cast<std::int64_t>(job.run->told()));
   trace(event);
   if (job.sink) {
     Json frame = event_frame("job_cancel", job.id);
     frame.set("reason", reason);
-    frame.set("completed", static_cast<std::int64_t>(job.completed));
+    frame.set("completed", static_cast<std::int64_t>(job.run->told()));
     events.push_back({job.sink, std::move(frame)});
   }
 }
@@ -421,7 +421,7 @@ Scheduler::Job* Scheduler::pick_job_locked() {
       if (job->slot_seconds < pick->slot_seconds) pick = job.get();
       continue;
     }
-    if (job->in_flight < pick->in_flight) pick = job.get();
+    if (job->run->in_flight() < pick->run->in_flight()) pick = job.get();
   }
   return pick;
 }
@@ -434,7 +434,7 @@ void Scheduler::fill_slots_locked(std::vector<PendingEvent>& events) {
     std::optional<distd::WorkerPool::Lease> lease = pool_->try_acquire();
     if (!lease.has_value()) break;  // every slot busy: wait for completions
 
-    std::optional<cs::Configuration> config = job->session->ask();
+    std::optional<cs::Configuration> config = job->run->ask();
     if (!config.has_value()) {
       // Space exhausted between pick and ask: give the slot back and
       // repick (the job is no longer runnable).
@@ -464,7 +464,6 @@ void Scheduler::fill_slots_locked(std::vector<PendingEvent>& events) {
     request.seed = job->spec.seed;
 
     const std::uint64_t dispatch = next_dispatch_id_++;
-    job->in_flight += 1;
     job->leases.emplace(dispatch, *lease);
     {
       Json event = Json::object();
@@ -508,41 +507,19 @@ void Scheduler::handle_completion_locked(Completion completion,
   TVMBO_CHECK(it != jobs_.end())
       << "completion for unknown job " << completion.job;
   Job& job = *it->second;
-  job.in_flight -= 1;
   job.slot_seconds += completion.elapsed_s;
   job.leases.erase(completion.dispatch);
 
   if (job.state == JobState::kCancelled) {
     // The trial raced the cancel (often SIGKILLed mid-run): drop it
-    // without feeding the tuner — the session just balances its books.
-    job.session->abandon();
+    // without feeding the tuner — the run just balances its books.
+    job.run->abandon();
     return;
   }
 
   const runtime::MeasureResult& measured = completion.result;
-  job.session->tell(completion.config, measured.runtime_s, measured.valid);
-  const std::size_t eval_index = job.completed;
-  job.completed += 1;
-  const std::vector<std::int64_t> tiles =
-      job.space->values_int(completion.config);
-  if (measured.valid && measured.runtime_s < job.best_runtime_s) {
-    job.best_runtime_s = measured.runtime_s;
-    job.best_tiles = tiles;
-  }
-
-  runtime::TrialRecord record;
-  record.eval_index = static_cast<int>(eval_index);
-  record.strategy = job.spec.tenant + "/" + std::to_string(job.id) + "/" +
-                    job.spec.strategy;
-  record.workload_id = job.workload.id();
-  record.tiles = tiles;
-  record.runtime_s = measured.runtime_s;
-  record.compile_s = measured.compile_s;
-  record.energy_j = measured.energy_j;
-  record.elapsed_s = job.slot_seconds;
-  record.valid = measured.valid;
-  record.backend = job.spec.backend;
-  record.nthreads = job.spec.nthreads;
+  const runtime::TrialRecord record =
+      job.run->tell(std::move(completion.config), measured, job.slot_seconds);
   if (perf_db_ != nullptr) perf_db_->append(record);
   // Even without a perf-db file the live result enters the instant-lookup
   // cache, so config_lookup answers improve while the daemon tunes.
@@ -552,45 +529,43 @@ void Scheduler::handle_completion_locked(Completion completion,
     Json event = Json::object();
     event.set("event", "job_trial");
     event.set("job", job.id);
-    event.set("i", static_cast<std::int64_t>(eval_index));
-    event.set("runtime_s", measured.runtime_s);
-    event.set("valid", measured.valid);
+    event.set("i", record.eval_index);
+    event.set("runtime_s", record.runtime_s);
+    event.set("valid", record.valid);
+    // Worker time this trial held its slot: the fair-share meter's input.
+    event.set("slot_s", completion.elapsed_s);
     trace(std::move(event));
   }
   if (job.sink) {
     Json frame = event_frame("job_trial", job.id);
-    frame.set("i", static_cast<std::int64_t>(eval_index));
+    frame.set("i", record.eval_index);
     Json tiles_json = Json::array();
-    for (std::int64_t t : tiles) tiles_json.push_back(t);
+    for (std::int64_t t : record.tiles) tiles_json.push_back(t);
     frame.set("tiles", std::move(tiles_json));
-    frame.set("runtime_s", measured.runtime_s);
-    frame.set("valid", measured.valid);
+    frame.set("runtime_s", record.runtime_s);
+    frame.set("valid", record.valid);
     if (!measured.error.empty()) frame.set("error", measured.error);
-    frame.set("best_runtime_s",
-              job.best_runtime_s == std::numeric_limits<double>::infinity()
-                  ? 0.0
-                  : job.best_runtime_s);
+    frame.set("best_runtime_s", job.best_runtime_s());
     events.push_back({job.sink, std::move(frame)});
   }
 
-  if (job.session->done()) {
+  if (job.run->done()) {
     job.state = JobState::kDone;
     Json event = Json::object();
     event.set("event", "job_complete");
     event.set("job", job.id);
     event.set("tenant", job.spec.tenant);
-    event.set("completed", static_cast<std::int64_t>(job.completed));
+    event.set("completed", static_cast<std::int64_t>(job.run->told()));
     event.set("slot_seconds", job.slot_seconds);
     trace(std::move(event));
     if (job.sink) {
       Json frame = event_frame("job_complete", job.id);
-      frame.set("completed", static_cast<std::int64_t>(job.completed));
-      frame.set("best_runtime_s",
-                job.best_runtime_s == std::numeric_limits<double>::infinity()
-                    ? 0.0
-                    : job.best_runtime_s);
+      frame.set("completed", static_cast<std::int64_t>(job.run->told()));
+      frame.set("best_runtime_s", job.best_runtime_s());
       Json best = Json::array();
-      for (std::int64_t t : job.best_tiles) best.push_back(t);
+      if (job.run->best().has_value()) {
+        for (std::int64_t t : job.run->best()->tiles) best.push_back(t);
+      }
       frame.set("best_tiles", std::move(best));
       events.push_back({job.sink, std::move(frame)});
     }

@@ -1,22 +1,26 @@
-// Multi-tenant tuning scheduler: multiplexes every active job's
-// streaming BO loop onto one shared elastic WorkerPool.
+// Multi-tenant tuning scheduler: a multiplexer of tuning runs onto one
+// shared elastic WorkerPool.
 //
-// Each job is an AskTellSession (tuners/measure_loop.h) — the same
-// propose/tell machine AutotuningSession's streaming loop drives — plus the
-// kernel's configuration space and a strategy tuner built by
+// Each job is a framework::AskTellSession — the ask→tell→record state
+// AutotuningSession::run_strategy drives — over the kernel's
+// configuration space and a strategy tuner built by
 // framework::make_strategy_tuner with the session's seed-derivation
-// scheme. The scheduler thread ticks all sessions from the outside:
+// scheme, minimizing runtime. The run keeps the job's budget, in-flight
+// count, records (eval index, label, tiles, provenance) and best; the
+// scheduler keeps only what is its own (admission, the pick, lease
+// dispatch, cancel) and ticks all runs from the outside:
 //
-//   completions -> tell/abandon, record, emit events
+//   completions -> tell/abandon the run; append its record to the perf
+//                  db and the lookup cache; emit events
 //   fill        -> while a worker slot is free, pick the runnable job
 //                  (highest-priority lane, then lowest consumed
 //                  slot-seconds — deficit fair share), ask() it for one
 //                  configuration, and dispatch the trial on a leased
 //                  slot in its own thread
 //
-// Because the proposal stream of a session depends only on (space, seed,
+// Because the proposal stream of a run depends only on (space, seed,
 // tell history), a single job on a one-worker daemon reproduces the
-// `--runner proc --async` trajectory bit-identically: both drive strict
+// `--runner proc --async` records bit-identically: both drive strict
 // ask/measure/tell alternation through the same AskTellSession.
 //
 // Admission control: a global active-job cap and a per-tenant cap, both

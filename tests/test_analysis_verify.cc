@@ -572,7 +572,7 @@ TEST(AnalysisFuzz, AcceptedRandomConfigsAgreeAcrossTiers) {
     const std::vector<std::int64_t> dims =
         kernels::polybench_dims(kernel, kernels::Dataset::kMini);
     const auto data = kernels::make_te_kernel_data(kernel, dims);
-    kernels::ParallelKnobs knobs;
+    kernels::ScheduleKnobs knobs;
     knobs.enabled = true;
     knobs.max_threads = 2;
     const cs::ConfigurationSpace space =

@@ -13,6 +13,7 @@
 #include "kernels/polybench.h"
 #include "runtime/cpu_device.h"
 #include "runtime/swing_sim.h"
+#include "tuners/random_tuner.h"
 #include "ytopt/bayes_opt.h"
 
 namespace tvmbo::framework {
@@ -166,6 +167,131 @@ TEST(Session, StrategyNameMapping) {
   EXPECT_STREQ(strategy_name(StrategyKind::kAutotvmGridSearch),
                "autotvm-gridsearch");
   EXPECT_EQ(all_strategies().size(), 5u);
+}
+
+/// Counts the calls a session makes into a random tuner.
+class CountingTuner : public tuners::Tuner {
+ public:
+  explicit CountingTuner(const cs::ConfigurationSpace* space)
+      : Tuner(space, 1), inner_(space, 1) {}
+  std::string name() const override { return "counting"; }
+  std::vector<cs::Configuration> next_batch(std::size_t n) override {
+    ++asks;
+    return inner_.next_batch(n);
+  }
+  void update(std::span<const tuners::Trial> trials) override {
+    ++updates;
+    Tuner::update(trials);
+  }
+  int asks = 0;
+  int updates = 0;
+
+ private:
+  tuners::RandomTuner inner_;
+};
+
+cs::ConfigurationSpace two_tile_space() {
+  cs::ConfigurationSpace space;
+  space.add(cs::tile_factor_param("P0", 2000));
+  space.add(cs::tile_factor_param("P1", 2000));
+  return space;
+}
+
+runtime::MeasureResult measured(double runtime_s, bool valid = true,
+                                double energy_j = 0.0) {
+  runtime::MeasureResult result;
+  result.runtime_s = runtime_s;
+  result.valid = valid;
+  result.energy_j = energy_j;
+  return result;
+}
+
+TEST(AskTellSession, WaveIsOneAskAndOneUpdate) {
+  // Tuners that retrain per update (XGB, GA) must see one refit per
+  // measured wave, and a wave never overdraws the budget.
+  const auto space = two_tile_space();
+  CountingTuner tuner(&space);
+  AskTellSession session(tuner, 10, Objective::kRuntime, space, "counting",
+                         "w", "sim", 1);
+  std::vector<cs::Configuration> wave = session.ask(8);
+  ASSERT_EQ(wave.size(), 8u);
+  const std::vector<cs::Configuration> asked = wave;
+  EXPECT_EQ(session.in_flight(), 8u);
+  const std::vector<runtime::MeasureResult> results(8, measured(1.0));
+  const std::vector<double> elapsed(8, 0.0);
+  const auto records = session.tell(wave, results, elapsed);
+  ASSERT_EQ(records.size(), 8u);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(records[i].eval_index, static_cast<int>(i));
+    EXPECT_EQ(records[i].tiles, space.values_int(asked[i]));
+  }
+  EXPECT_EQ(tuner.asks, 1);
+  EXPECT_EQ(tuner.updates, 1);
+  EXPECT_EQ(session.told(), 8u);
+
+  EXPECT_EQ(session.ask(8).size(), 2u);  // capped by the remaining budget
+  EXPECT_FALSE(session.can_ask());
+  EXPECT_TRUE(session.ask(8).empty());
+  EXPECT_EQ(tuner.asks, 2);
+  session.abandon();
+  session.abandon();
+  EXPECT_TRUE(session.done());
+  wave = asked;
+  EXPECT_THROW(session.tell(wave, results, elapsed),
+               CheckError);  // nothing in flight
+}
+
+TEST(AskTellSession, RecordsNumberToldTrialsAndKeepFirstLowestBest) {
+  const auto space = two_tile_space();
+  tuners::RandomTuner tuner(&space, 3);
+  AskTellSession run(tuner, 10, Objective::kRuntime, space, "alice/1/random",
+                     "gemm-mini", "jit", 4);
+  const std::vector<cs::Configuration> configs = run.ask(4);
+  ASSERT_EQ(configs.size(), 4u);
+  const runtime::TrialRecord first = run.tell(configs[0], measured(2.0), 0.5);
+  EXPECT_EQ(first.eval_index, 0);
+  EXPECT_EQ(first.strategy, "alice/1/random");
+  EXPECT_EQ(first.workload_id, "gemm-mini");
+  EXPECT_EQ(first.backend, "jit");
+  EXPECT_EQ(first.nthreads, 4);
+  EXPECT_EQ(first.tiles, space.values_int(configs[0]));
+  EXPECT_DOUBLE_EQ(first.elapsed_s, 0.5);
+  // Ties: the first lowest record stays best; an invalid lower one never
+  // becomes best.
+  run.tell(configs[1], measured(1.0), 1.0);
+  run.tell(configs[2], measured(1.0), 1.5);
+  const runtime::TrialRecord failed =
+      run.tell(configs[3], measured(0.5, /*valid=*/false), 2.0);
+  EXPECT_FALSE(failed.valid);
+  ASSERT_TRUE(run.best().has_value());
+  EXPECT_EQ(run.best()->eval_index, 1);
+  EXPECT_EQ(run.best()->tiles, space.values_int(configs[1]));
+  // An abandoned trial takes no eval index.
+  ASSERT_TRUE(run.ask().has_value());
+  run.abandon();
+  const std::optional<cs::Configuration> next = run.ask();
+  ASSERT_TRUE(next.has_value());
+  EXPECT_EQ(run.tell(*next, measured(3.0), 2.5).eval_index, 4);
+  EXPECT_EQ(run.told(), 5u);
+  EXPECT_EQ(run.in_flight(), 0u);
+  EXPECT_EQ(tuner.history().size(), 5u);
+
+  // Energy objective on a device without a power model (energy_j == 0):
+  // the objective is undefined, so records are invalid and never best.
+  tuners::RandomTuner energy_tuner(&space, 3);
+  AskTellSession energy(energy_tuner, 10, Objective::kEnergy, space, "e",
+                        "gemm-mini", "native", 1);
+  for (const cs::Configuration& config : energy.ask(3)) {
+    EXPECT_FALSE(energy.tell(config, measured(1.0), 0.0).valid);
+  }
+  EXPECT_FALSE(energy.best().has_value());
+  // With a meter the lowest energy wins, whatever the runtime.
+  const std::vector<cs::Configuration> metered = energy.ask(2);
+  ASSERT_EQ(metered.size(), 2u);
+  energy.tell(metered[0], measured(1.0, true, 4.0), 0.0);
+  energy.tell(metered[1], measured(9.0, true, 2.0), 0.0);
+  ASSERT_TRUE(energy.best().has_value());
+  EXPECT_EQ(energy.best()->eval_index, 4);
 }
 
 TEST(Figures, ProcessTableHasRowPerEvaluation) {

@@ -6,7 +6,6 @@
 #include "configspace/divisors.h"
 #include "tuners/ga_tuner.h"
 #include "tuners/grid_tuner.h"
-#include "tuners/measure_loop.h"
 #include "tuners/random_tuner.h"
 #include "tuners/xgb_tuner.h"
 
@@ -233,55 +232,6 @@ TEST(Tuner, UpdateTracksBestAcrossInvalid) {
 
 TEST(Tuner, NullSpaceThrows) {
   EXPECT_THROW(RandomTuner(nullptr, 1), CheckError);
-}
-
-/// Counts the calls a session makes into a random tuner.
-class CountingTuner : public Tuner {
- public:
-  explicit CountingTuner(const cs::ConfigurationSpace* space)
-      : Tuner(space, 1), inner_(space, 1) {}
-  std::string name() const override { return "counting"; }
-  std::vector<cs::Configuration> next_batch(std::size_t n) override {
-    ++asks;
-    return inner_.next_batch(n);
-  }
-  void update(std::span<const Trial> trials) override {
-    ++updates;
-    Tuner::update(trials);
-  }
-  int asks = 0;
-  int updates = 0;
-
- private:
-  RandomTuner inner_;
-};
-
-TEST(AskTellSession, WaveIsOneAskAndOneUpdate) {
-  // Tuners that retrain per update (XGB, GA) must see one refit per
-  // measured wave, and a wave never overdraws the budget.
-  const auto space = small_space();
-  CountingTuner tuner(&space);
-  AskTellSession session(tuner, 10);
-  const std::vector<cs::Configuration> wave = session.ask(8);
-  ASSERT_EQ(wave.size(), 8u);
-  EXPECT_EQ(session.in_flight(), 8u);
-  std::vector<Trial> trials;
-  for (const cs::Configuration& config : wave) {
-    trials.push_back({config, 1.0, true});
-  }
-  session.tell(trials);
-  EXPECT_EQ(tuner.asks, 1);
-  EXPECT_EQ(tuner.updates, 1);
-  EXPECT_EQ(session.completed(), 8u);
-
-  EXPECT_EQ(session.ask(8).size(), 2u);  // capped by the remaining budget
-  EXPECT_FALSE(session.can_ask());
-  EXPECT_TRUE(session.ask(8).empty());
-  EXPECT_EQ(tuner.asks, 2);
-  session.abandon();
-  session.abandon();
-  EXPECT_TRUE(session.done());
-  EXPECT_THROW(session.tell(trials), CheckError);  // nothing in flight
 }
 
 }  // namespace
